@@ -1,7 +1,9 @@
 // Shared helpers for the paper-reproduction bench binaries.
 //
 // Each binary regenerates one table or figure of the paper. Binaries accept
-// optional flags:
+// these optional flags; anything else (an unknown flag, a flag missing its
+// value, a non-integer count) prints usage and exits 2, and --help prints
+// usage and exits 0 without running:
 //   --quick            smaller sweeps / shorter windows (CI-friendly)
 //   --smoke            smallest tier: the regression-gate sweep (subset of
 //                      points, short windows); implies --quick durations
@@ -15,15 +17,10 @@
 //                      wall clock; simulated results must be identical
 //                      across reps or the run is flagged nondeterministic
 //   --jobs <n>         run independent sweep points on n host threads
-//                      (default: hardware concurrency; 1 = serial). The
-//                      simulated results, stdout tables, and JSON point
+//                      (default and 0: hardware concurrency; 1 = serial).
+//                      The simulated results, stdout tables, and JSON point
 //                      order are byte-identical at any job count — only
 //                      host wall clock changes
-//   --des-threads <n>  run each experiment's event loop on n threads under
-//                      the conservative-PDES engine (default 1 = the exact
-//                      serial scheduler). Simulated output is byte-identical
-//                      at any thread count (CI enforces it); composes with
-//                      --jobs (points x threads host parallelism)
 //   --no-crypto-cache  single escape hatch for every crypto cache: disables
 //                      the host-side signature-verification cache
 //                      (simulated results must not change; see
@@ -45,6 +42,8 @@
 //                      default 250)
 #pragma once
 
+#include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -76,7 +75,6 @@ struct Args {
   bool streaming = false;
   int reps = 1;
   int jobs = 0;  // resolved: 0 -> hardware concurrency
-  int des_threads = 1;  // per-experiment PDES threads (1 = serial engine)
   int metrics_period_ms = 250;
   std::string json_path;
   std::string metrics_out;
@@ -104,30 +102,68 @@ inline std::unique_ptr<fabricsim::bench::Recorder>& RecorderSlot() {
   return slot;
 }
 
+inline void PrintUsage(std::ostream& os, const std::string& bench_name) {
+  os << "usage: " << bench_name
+     << " [--quick | --smoke] [--csv] [--attribution] [--json <path>]\n"
+        "       [--reps <n>] [--jobs <n>] [--no-crypto-cache] [--profile]\n"
+        "       [--streaming] [--metrics-out <path>]"
+        " [--metrics-period-ms <n>]\n";
+}
+
+/// Parses the shared bench flags. Exits 2 with usage on an unknown flag, a
+/// missing value, or a non-integer count; exits 0 after printing usage on
+/// --help.
 inline Args ParseArgs(int argc, char** argv, const std::string& bench_name) {
   Args out;
+  const auto fail = [&](const std::string& msg) {
+    std::cerr << bench_name << ": " << msg << "\n";
+    PrintUsage(std::cerr, bench_name);
+    std::exit(2);
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a == "--quick") out.quick = true;
-    if (a == "--smoke") out.smoke = out.quick = true;
-    if (a == "--csv") out.csv = true;
-    if (a == "--attribution") out.attribution = true;
-    if (a == "--no-crypto-cache") out.crypto_cache = false;
-    if (a == "--profile") out.profile = true;
-    if (a == "--streaming") out.streaming = true;
-    if (a == "--json" && i + 1 < argc) out.json_path = argv[++i];
-    if (a == "--metrics-out" && i + 1 < argc) out.metrics_out = argv[++i];
-    if (a == "--metrics-period-ms" && i + 1 < argc) {
-      out.metrics_period_ms = std::max(1, std::atoi(argv[++i]));
-    }
-    if (a == "--reps" && i + 1 < argc) {
-      out.reps = std::max(1, std::atoi(argv[++i]));
-    }
-    if (a == "--jobs" && i + 1 < argc) {
-      out.jobs = std::max(1, std::atoi(argv[++i]));
-    }
-    if (a == "--des-threads" && i + 1 < argc) {
-      out.des_threads = std::max(1, std::atoi(argv[++i]));
+    const auto value = [&]() -> std::string {
+      if (i + 1 >= argc) fail("missing value for " + a);
+      return argv[++i];
+    };
+    const auto number = [&]() -> int {
+      const std::string v = value();
+      char* end = nullptr;
+      const long n = std::strtol(v.c_str(), &end, 10);
+      if (v.empty() || *end != '\0' || n < INT_MIN || n > INT_MAX) {
+        fail("not an integer for " + a + ": " + v);
+      }
+      return static_cast<int>(n);
+    };
+    if (a == "--help" || a == "-h") {
+      PrintUsage(std::cout, bench_name);
+      std::exit(0);
+    } else if (a == "--quick") {
+      out.quick = true;
+    } else if (a == "--smoke") {
+      out.smoke = out.quick = true;
+    } else if (a == "--csv") {
+      out.csv = true;
+    } else if (a == "--attribution") {
+      out.attribution = true;
+    } else if (a == "--no-crypto-cache") {
+      out.crypto_cache = false;
+    } else if (a == "--profile") {
+      out.profile = true;
+    } else if (a == "--streaming") {
+      out.streaming = true;
+    } else if (a == "--json") {
+      out.json_path = value();
+    } else if (a == "--metrics-out") {
+      out.metrics_out = value();
+    } else if (a == "--metrics-period-ms") {
+      out.metrics_period_ms = std::max(1, number());
+    } else if (a == "--reps") {
+      out.reps = std::max(1, number());
+    } else if (a == "--jobs") {
+      out.jobs = number();
+    } else {
+      fail("unknown argument: " + a);
     }
   }
   if (out.jobs <= 0) {
@@ -136,7 +172,6 @@ inline Args ParseArgs(int argc, char** argv, const std::string& bench_name) {
   fabricsim::crypto::VerifyCache::Instance().SetEnabled(out.crypto_cache);
   RecorderSlot() = std::make_unique<fabricsim::bench::Recorder>(
       bench_name, out.Mode(), out.crypto_cache, out.reps, out.jobs);
-  RecorderSlot()->SetDesThreads(out.des_threads);
   return out;
 }
 
@@ -160,7 +195,6 @@ class Sweep {
   void Add(fabricsim::fabric::ExperimentConfig config, std::string label) {
     config.profile = config.profile || args_.profile;
     config.streaming_stats = config.streaming_stats || args_.streaming;
-    if (config.des_threads <= 1) config.des_threads = args_.des_threads;
     if (!args_.metrics_out.empty() && config.registry == nullptr) {
       auto reg = std::make_unique<fabricsim::metrics::Registry>();
       config.registry = reg.get();

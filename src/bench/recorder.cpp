@@ -122,16 +122,6 @@ void Recorder::AddPoint(const std::string& label,
                ? static_cast<double>(host.sched_events) / wall.mean
                : 0.0);
   if (result.profile) h["profile"] = ProfileJson(*result.profile);
-  if (result.pdes_threads > 1) {
-    // Conservative-PDES engine diagnostics. Deterministic for a given
-    // thread count, but keyed under "host" so baselines recorded at one
-    // --des-threads compare cleanly against runs at another.
-    Json pdes = Json::MakeObject();
-    pdes["threads"] = Json(result.pdes_threads);
-    pdes["windows"] = Json(result.pdes_windows);
-    pdes["serial_instants"] = Json(result.pdes_serial_instants);
-    h["pdes"] = std::move(pdes);
-  }
   point["host"] = std::move(h);
   points_.push_back(std::move(point));
 
@@ -159,8 +149,6 @@ Json Recorder::ToJson() const {
                : 0.0);
   host["peak_rss_kb"] = Json(PeakRssKb());
   host["jobs"] = Json(jobs_);
-  if (des_threads_ > 1) host["des_threads"] = Json(des_threads_);
-  if (nproc_ > 0) host["nproc"] = Json(nproc_);
   if (cache_sample_) {
     Json cache = Json::MakeObject();
     cache["hits"] = Json(cache_sample_->hits);

@@ -140,7 +140,7 @@ class Client {
   [[nodiscard]] sim::NodeId NetId() const { return net_id_; }
 
   /// The machine this client runs on (its scheduler lane anchors the
-  /// open-loop arrival timers under the PDES engine).
+  /// open-loop arrival timers).
   [[nodiscard]] sim::Machine& Host() { return machine_; }
 
   /// Submits one chaincode invocation (asynchronously; returns at once).

@@ -6,9 +6,7 @@
 // Poisson process by default (independent streams per client) or uniform.
 #pragma once
 
-#include <atomic>
 #include <functional>
-#include <mutex>
 #include <vector>
 
 #include "client/client.h"
@@ -42,13 +40,10 @@ class WorkloadController {
                      WorkloadConfig config);
 
   /// Schedules all arrivals (lazily, one timer per client). Each client's
-  /// arrival loop is anchored to its machine's scheduler lane, so the open
-  /// loops run concurrently under the PDES engine.
+  /// arrival loop is anchored to its machine's scheduler lane.
   void Start();
 
-  [[nodiscard]] std::uint64_t Generated() const {
-    return generated_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t Generated() const { return generated_; }
 
   /// Per-second generation log (the paper's rate double-check).
   [[nodiscard]] const metrics::RateLog& GeneratedLog() const {
@@ -65,15 +60,12 @@ class WorkloadController {
   std::vector<Client*> clients_;
   WorkloadConfig config_;
   // One independent RNG stream per client (forked in client order), so each
-  // arrival loop's draws depend only on that client's own history — arrival
-  // times and invocation contents are identical however lanes interleave.
+  // arrival loop's draws depend only on that client's own history. The
+  // pinned chain heads and bench baselines were recorded with these streams.
   std::vector<sim::Rng> rngs_;
   std::vector<std::uint64_t> seq_;
   std::vector<sim::SimTime> next_ideal_;  // per-client ideal arrival clock
-  // Counter and rate log are shared across client lanes: the counter is a
-  // relaxed atomic, the log's per-bucket increments commute under its mutex.
-  std::atomic<std::uint64_t> generated_{0};
-  std::mutex log_mu_;
+  std::uint64_t generated_ = 0;
   metrics::RateLog generated_log_{"generated"};
 };
 

@@ -225,14 +225,6 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   client::WorkloadController controller(net.Env(), net.Clients(), wl);
   controller.Start();
 
-  // Arm the conservative-PDES engine. The lookahead floor comes from the
-  // network's per-link minimum latency; with a tracer attached the run stays
-  // serial (see ExperimentConfig::des_threads).
-  if (config.des_threads > 1 && net_options.tracer == nullptr) {
-    net.Env().Sched().SetParallel(config.des_threads,
-                                  net.Env().Net().LookaheadFloor());
-  }
-
   net.Env().Sched().RunUntil(window_end + config.drain);
   if (config.telemetry != nullptr) config.telemetry->Stop();
   if (config.registry != nullptr) {
@@ -278,9 +270,6 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   out.chain_height = chain.Height();
   out.chain_head_hex = crypto::DigestHex(chain.TipHash());
   out.sched_events = net.Env().Sched().ExecutedEvents();
-  out.pdes_threads = net.Env().Sched().ParallelThreads();
-  out.pdes_windows = net.Env().Sched().WindowsRun();
-  out.pdes_serial_instants = net.Env().Sched().SerialInstants();
   out.chain_audit_ok = chain.Audit().ok;
   out.messages_sent = net.Env().Net().MessagesSent();
   out.messages_dropped = net.Env().Net().MessagesDropped();

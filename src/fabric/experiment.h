@@ -74,12 +74,6 @@ struct ExperimentConfig {
   /// When set it is used instead of an internal one and `profile` is
   /// implied. Not owned; Reset each run.
   sim::DesProfiler* profiler = nullptr;
-  /// Worker threads for the conservative-PDES engine (1 = the exact serial
-  /// code path). Simulated output is byte-identical at any thread count (see
-  /// sim/scheduler.h for the contract); only host wall-clock changes. Runs
-  /// with an event tracer attached fall back to serial — the tracer's hook
-  /// sequence is host-ordered and not worth making thread-correct.
-  int des_threads = 1;
 };
 
 /// Deterministic tracker-occupancy stats for the bounded-memory proof.
@@ -115,12 +109,6 @@ struct ExperimentResult {
   /// Scheduler events executed by this run — the denominator of the host
   /// events/sec metric.
   std::uint64_t sched_events = 0;
-  /// PDES engine host stats (host-side; excluded from simulated-subtree
-  /// comparisons): worker threads actually used, parallel windows run, and
-  /// serial instants (global synchronization points at lane-0 event times).
-  int pdes_threads = 1;
-  std::uint64_t pdes_windows = 0;
-  std::uint64_t pdes_serial_instants = 0;
   std::uint64_t messages_sent = 0;
   std::uint64_t messages_dropped = 0;
   std::uint64_t bytes_sent = 0;

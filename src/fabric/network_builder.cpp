@@ -12,9 +12,6 @@ FabricNetwork::FabricNetwork(NetworkOptions options)
                             options_.topology.endorsing_peers)) {
   if (options_.channels < 1) options_.channels = 1;
   env_->SetTracer(options_.tracer);
-  // Marks issued from inside parallel windows are deferred and applied in
-  // deterministic key order at the window barrier (no-op while serial).
-  tracker_.BindScheduler(&env_->Sched());
 
   chaincodes_->Install(std::make_shared<chaincode::KvWriteChaincode>());
   chaincodes_->Install(std::make_shared<chaincode::TokenChaincode>());
@@ -168,10 +165,8 @@ void FabricNetwork::BuildOrdering() {
         "orderer-machine" + std::to_string(i), ProfileForOrderer()));
   }
   if (topo.ordering == OrderingType::kKafka) {
-    // The ZooKeeper ensemble forms one logical process: the replicas
-    // exchange quorum traffic constantly, so co-locating them on one lane
-    // keeps that chatter intra-lane (zero mailbox traffic) without
-    // affecting the simulated outcome.
+    // The ZooKeeper ensemble object spans all its hosts, so their machines
+    // share one lane (one logical process for the event order).
     std::vector<sim::Machine*> zk_machines;
     for (int i = 0; i < topo.zookeepers; ++i) {
       zk_machines.push_back(&env_->AddMachine(

@@ -3,86 +3,27 @@
 #include <utility>
 #include <vector>
 
-#include "sim/scheduler.h"
-
 namespace fabricsim::metrics {
 
-bool TxTracker::MustDefer() const {
-  return sched_ != nullptr && sched_->Deferring();
-}
-
 void TxTracker::MarkSubmitted(const std::string& tx_id, sim::SimTime t) {
-  if (MustDefer()) {
-    sched_->DeferShared([this, tx_id, t] { MarkSubmittedImpl(tx_id, t); });
-    return;
-  }
-  MarkSubmittedImpl(tx_id, t);
-}
-
-void TxTracker::MarkEndorsed(const std::string& tx_id, sim::SimTime t) {
-  if (MustDefer()) {
-    sched_->DeferShared([this, tx_id, t] { MarkEndorsedImpl(tx_id, t); });
-    return;
-  }
-  MarkEndorsedImpl(tx_id, t);
-}
-
-void TxTracker::MarkOrdered(const std::string& tx_id, sim::SimTime t) {
-  if (MustDefer()) {
-    sched_->DeferShared([this, tx_id, t] { MarkOrderedImpl(tx_id, t); });
-    return;
-  }
-  MarkOrderedImpl(tx_id, t);
-}
-
-void TxTracker::MarkCommitted(const std::string& tx_id, sim::SimTime t,
-                              proto::ValidationCode code) {
-  if (MustDefer()) {
-    sched_->DeferShared(
-        [this, tx_id, t, code] { MarkCommittedImpl(tx_id, t, code); });
-    return;
-  }
-  MarkCommittedImpl(tx_id, t, code);
-}
-
-void TxTracker::MarkRejected(const std::string& tx_id, sim::SimTime t,
-                             RejectKind kind) {
-  if (MustDefer()) {
-    sched_->DeferShared(
-        [this, tx_id, t, kind] { MarkRejectedImpl(tx_id, t, kind); });
-    return;
-  }
-  MarkRejectedImpl(tx_id, t, kind);
-}
-
-void TxTracker::RecordBlockCut(sim::SimTime t, std::size_t tx_count) {
-  if (MustDefer()) {
-    sched_->DeferShared(
-        [this, t, tx_count] { RecordBlockCutImpl(t, tx_count); });
-    return;
-  }
-  RecordBlockCutImpl(t, tx_count);
-}
-
-void TxTracker::MarkSubmittedImpl(const std::string& tx_id, sim::SimTime t) {
   records_[tx_id].submitted = t;
   NoteRecordCount();
 }
 
-void TxTracker::MarkEndorsedImpl(const std::string& tx_id, sim::SimTime t) {
+void TxTracker::MarkEndorsed(const std::string& tx_id, sim::SimTime t) {
   auto it = records_.find(tx_id);
   if (it != records_.end() && it->second.endorsed < 0) {
     it->second.endorsed = t;
   }
 }
 
-void TxTracker::MarkOrderedImpl(const std::string& tx_id, sim::SimTime t) {
+void TxTracker::MarkOrdered(const std::string& tx_id, sim::SimTime t) {
   auto it = records_.find(tx_id);
   if (it != records_.end() && it->second.ordered < 0) it->second.ordered = t;
 }
 
-void TxTracker::MarkCommittedImpl(const std::string& tx_id, sim::SimTime t,
-                                  proto::ValidationCode code) {
+void TxTracker::MarkCommitted(const std::string& tx_id, sim::SimTime t,
+                              proto::ValidationCode code) {
   auto it = records_.find(tx_id);
   if (it == records_.end()) return;
   if (it->second.committed < 0) {
@@ -95,8 +36,8 @@ void TxTracker::MarkCommittedImpl(const std::string& tx_id, sim::SimTime t,
   if (stream_) Retire(it);
 }
 
-void TxTracker::MarkRejectedImpl(const std::string& tx_id, sim::SimTime t,
-                                 RejectKind kind) {
+void TxTracker::MarkRejected(const std::string& tx_id, sim::SimTime t,
+                             RejectKind kind) {
   auto it = records_.find(tx_id);
   if (it == records_.end()) {
     // In streaming mode a miss here means the record was already folded with
@@ -116,7 +57,7 @@ void TxTracker::MarkRejectedImpl(const std::string& tx_id, sim::SimTime t,
   if (stream_ && it->second.endorsed < 0) Retire(it);
 }
 
-void TxTracker::RecordBlockCutImpl(sim::SimTime t, std::size_t tx_count) {
+void TxTracker::RecordBlockCut(sim::SimTime t, std::size_t tx_count) {
   if (stream_) {
     FoldBlockCut(t, tx_count, *stream_);
     return;

@@ -33,10 +33,6 @@
 #include "proto/transaction.h"
 #include "sim/time.h"
 
-namespace fabricsim::sim {
-class Scheduler;
-}  // namespace fabricsim::sim
-
 namespace fabricsim::metrics {
 
 /// Why a transaction ended rejected. Shed = an overload-protection layer
@@ -93,15 +89,6 @@ struct Report {
 };
 
 /// Central collector; all roles report into it.
-///
-/// The tracker is shared by every role, so under the PDES engine its marks
-/// would race and — worse — fold/retire in a host-dependent order. Binding a
-/// scheduler (BindScheduler) routes each mark through
-/// Scheduler::DeferShared when called from inside a parallel window: the
-/// mark is buffered and applied at the window barrier in the exact key
-/// order the serial engine would have used, so streaming folds, retire
-/// decisions, and high-watermarks stay bit-identical. Unbound (or outside
-/// windows) every mark applies immediately, as before.
 class TxTracker {
  public:
   void MarkSubmitted(const std::string& tx_id, sim::SimTime t);
@@ -114,11 +101,6 @@ class TxTracker {
 
   /// Orderer-side block accounting.
   void RecordBlockCut(sim::SimTime t, std::size_t tx_count);
-
-  /// Routes marks through `sched`'s deferred-op machinery during parallel
-  /// windows (nullptr unbinds). The scheduler must outlive the tracker's
-  /// marking phase.
-  void BindScheduler(sim::Scheduler* sched) { sched_ = sched; }
 
   /// Switches to streaming (bounded-memory) accounting over the given
   /// measurement window. Must be called before any Mark* call; the window
@@ -212,20 +194,6 @@ class TxTracker {
     if (records_.size() > records_hwm_) records_hwm_ = records_.size();
   }
 
-  // The unconditional mark bodies; the public entry points defer to these
-  // through the bound scheduler when called inside a parallel window.
-  void MarkSubmittedImpl(const std::string& tx_id, sim::SimTime t);
-  void MarkEndorsedImpl(const std::string& tx_id, sim::SimTime t);
-  void MarkOrderedImpl(const std::string& tx_id, sim::SimTime t);
-  void MarkCommittedImpl(const std::string& tx_id, sim::SimTime t,
-                         proto::ValidationCode code);
-  void MarkRejectedImpl(const std::string& tx_id, sim::SimTime t,
-                        RejectKind kind);
-  void RecordBlockCutImpl(sim::SimTime t, std::size_t tx_count);
-  // True when a mark must be deferred instead of applied in place.
-  [[nodiscard]] bool MustDefer() const;
-
-  sim::Scheduler* sched_ = nullptr;
   std::unordered_map<std::string, TxRecord> records_;
   std::vector<std::pair<sim::SimTime, std::size_t>> block_cuts_;
   std::optional<FoldState> stream_;

@@ -80,21 +80,16 @@ void TelemetrySampler::SampleNow(sim::SimTime now) {
 
 namespace {
 
-// Clamped atomic decrement: never underflows even when the sampler was
-// attached with messages already in flight.
-void SubClamped(std::atomic<std::uint64_t>& v, std::uint64_t n) {
-  std::uint64_t cur = v.load(std::memory_order_relaxed);
-  while (!v.compare_exchange_weak(cur, cur - (n < cur ? n : cur),
-                                  std::memory_order_relaxed)) {
-  }
-}
+// Clamped decrement: never underflows even when the sampler was attached
+// with messages already in flight.
+void SubClamped(std::uint64_t& v, std::uint64_t n) { v -= n < v ? n : v; }
 
 }  // namespace
 
 void TelemetrySampler::OnSend(sim::NodeId /*from*/, sim::NodeId /*to*/,
                               std::size_t wire_bytes,
                               sim::SimTime /*deliver_at*/) {
-  bytes_in_flight_.fetch_add(wire_bytes, std::memory_order_relaxed);
+  bytes_in_flight_ += wire_bytes;
 }
 
 void TelemetrySampler::OnDeliver(sim::NodeId /*from*/, sim::NodeId /*to*/,

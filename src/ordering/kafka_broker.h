@@ -53,7 +53,7 @@ class KafkaBroker {
   [[nodiscard]] sim::NodeId NetId() const { return net_id_; }
 
   /// The machine hosting this node (its scheduler lane owns all the
-  /// node's timers and deliveries under the PDES engine).
+  /// node's timers and deliveries).
   [[nodiscard]] sim::Machine& Host() { return machine_; }
   [[nodiscard]] bool IsPartitionLeader() const { return is_leader_; }
   [[nodiscard]] std::uint64_t LogEnd() const { return log_.size(); }

@@ -71,8 +71,9 @@ inline std::mutex& CacheStripe(const void* p) {
 /// RESETS the cache: a copy that is then mutated (e.g. a tampering test)
 /// recomputes honestly.
 ///
-/// Thread-safe for concurrent Get: under the PDES engine the same shared
-/// block reaches several lanes at once. The fast path is one acquire load;
+/// Thread-safe for concurrent Get: the committer's --opt-vscc-workers
+/// precompute pool reads the same shared envelopes from several host threads
+/// at once. The fast path is one acquire load;
 /// on a miss the value is computed OUTSIDE the lock (build chains may nest
 /// — signers over digest over serialized bytes — so holding a stripe while
 /// computing could deadlock on stripe ordering) and installed first-writer

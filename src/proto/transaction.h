@@ -88,10 +88,10 @@ struct TransactionEnvelope {
   // Signer-verification memo with the same copy-resets semantics as
   // CachedValue (a mutated copy must re-verify honestly). The registry
   // pointer doubles as the atomic ready flag — it is set (release) only
-  // after `value` is installed, so concurrent lanes validating the same
-  // shared envelope are safe; negative results (nullopt value with the
-  // registry set) stay cached. Like CachedValue, resets are reserved for
-  // single-threaded phases.
+  // after `value` is installed, so the --opt-vscc-workers precompute threads
+  // warming the same shared envelope are safe; negative results (nullopt
+  // value with the registry set) stay cached. Like CachedValue, resets are
+  // reserved for single-threaded phases.
   struct SignerCache {
     SignerCache() = default;
     SignerCache(const SignerCache&) noexcept {}

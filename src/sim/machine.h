@@ -38,9 +38,9 @@ MachineProfile I7_920();
 
 /// One simulated host: a CPU plus identity. Roles (peer, orderer, client,
 /// broker) are processes that submit work to the machine's CPU. Each machine
-/// is one scheduler lane (logical process) for the conservative-PDES engine;
-/// components belonging to the machine are constructed and started under a
-/// `Scheduler::LaneScope` for its lane so their events execute there.
+/// is one scheduler lane (see sim/scheduler.h); components belonging to the
+/// machine are constructed and started under a `Scheduler::LaneScope` for
+/// its lane so their events are keyed and executed there.
 class Machine {
  public:
   Machine(Scheduler& sched, std::string name, MachineProfile profile,

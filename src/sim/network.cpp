@@ -56,15 +56,15 @@ std::uint64_t Network::PairKey(NodeId a, NodeId b) {
 void Network::Send(NodeId from, NodeId to, MessagePtr msg) {
   auto& src = nodes_.at(static_cast<std::size_t>(from));
   auto& dst = nodes_.at(static_cast<std::size_t>(to));
-  messages_sent_.fetch_add(1, std::memory_order_relaxed);
+  ++messages_sent_;
   const std::size_t wire_bytes =
       msg->WireSize() + config_.per_message_overhead_bytes;
-  bytes_sent_.fetch_add(wire_bytes, std::memory_order_relaxed);
+  bytes_sent_ += wire_bytes;
 
   if (src.crashed || dst.crashed || IsPartitioned(from, to) ||
       (from != to &&
        LinkRng(src, from, to).NextBool(config_.loss_probability))) {
-    messages_dropped_.fetch_add(1, std::memory_order_relaxed);
+    ++messages_dropped_;
     return;
   }
 
@@ -94,37 +94,21 @@ void Network::Send(NodeId from, NodeId to, MessagePtr msg) {
   }
 
   if (observer_) observer_->OnSend(from, to, wire_bytes, deliver_at);
-  // Delivery executes in the receiver's lane, ordered by the sender's key:
-  // under the PDES engine a cross-lane delivery rides the mailbox and the
-  // lookahead floor guarantees it lands beyond the current window.
+  // Delivery executes in the receiver's lane, ordered by the sender's key.
   sched_.ScheduleAtLane(
       dst.lane, deliver_at,
       [this, from, to, wire_bytes, msg = std::move(msg)]() {
         auto& receiver = nodes_.at(static_cast<std::size_t>(to));
         if (receiver.crashed) {
-          messages_dropped_.fetch_add(1, std::memory_order_relaxed);
+          ++messages_dropped_;
           if (observer_) observer_->OnDrop(from, to, wire_bytes);
           return;
         }
-        messages_delivered_.fetch_add(1, std::memory_order_relaxed);
+        ++messages_delivered_;
         if (observer_) observer_->OnDeliver(from, to, wire_bytes);
         if (receiver.handler) receiver.handler(from, msg);
       },
       "net/deliver");
-}
-
-SimDuration Network::LookaheadFloor() const {
-  const auto serialize_min = static_cast<SimDuration>(
-      static_cast<double>(config_.per_message_overhead_bytes) * 8.0 * 1e9 /
-      config_.bandwidth_bps);
-  double jf = config_.jitter_fraction;
-  if (jf < 0.0) jf = 0.0;
-  if (jf > 1.0) jf = 1.0;
-  const auto latency_min = static_cast<SimDuration>(
-      static_cast<double>(config_.base_latency) * (1.0 - jf));
-  // Both terms truncate the same monotone formulas the send path uses, so
-  // serialize >= serialize_min and latency >= latency_min hold exactly.
-  return serialize_min + latency_min;
 }
 
 void Network::Partition(NodeId a, NodeId b) { partitions_.insert(PairKey(a, b)); }

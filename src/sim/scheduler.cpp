@@ -1,11 +1,8 @@
 #include "sim/scheduler.h"
 
-#include <algorithm>
 #include <chrono>
-#include <iterator>
 #include <utility>
 
-#include "runner/thread_pool.h"
 #include "sim/profiler.h"
 
 namespace fabricsim::sim {
@@ -19,33 +16,6 @@ std::uint64_t SteadyNowNs() {
           .count());
 }
 
-// The scheduling context: which scheduler's code is running on this thread,
-// and in which lane. `tls_sched` disambiguates when several schedulers share
-// a host thread (sweep runners execute whole experiments per pool thread);
-// a context only applies to its own scheduler.
-thread_local const Scheduler* tls_sched = nullptr;
-thread_local int tls_lane = Scheduler::kGlobalLane;
-thread_local bool tls_in_window = false;
-
-struct ContextSave {
-  const Scheduler* sched;
-  int lane;
-  bool in_window;
-};
-
-ContextSave SaveContext(const Scheduler* sched, bool in_window) {
-  ContextSave prev{tls_sched, tls_lane, tls_in_window};
-  tls_sched = sched;
-  tls_in_window = in_window;
-  return prev;
-}
-
-void RestoreContext(const ContextSave& prev) {
-  tls_sched = prev.sched;
-  tls_lane = prev.lane;
-  tls_in_window = prev.in_window;
-}
-
 #if defined(__GNUC__) || defined(__clang__)
 inline void PrefetchSlot(const void* p) { __builtin_prefetch(p, 0, 1); }
 #else
@@ -54,583 +24,130 @@ inline void PrefetchSlot(const void*) {}
 
 }  // namespace
 
-Scheduler::Scheduler() { lanes_.emplace_back(); }
-
-Scheduler::~Scheduler() = default;
-
-SimTime Scheduler::Now() const {
-  if (parallel_active_ && tls_sched == this && tls_in_window) {
-    return lanes_[static_cast<std::size_t>(tls_lane)].now;
-  }
-  return now_;
-}
+Scheduler::Scheduler() : lane_seq_(1, 0) {}
 
 int Scheduler::AddLane() {
-  lanes_.emplace_back();
-  lanes_.back().now = now_;
-  return static_cast<int>(lanes_.size()) - 1;
-}
-
-int Scheduler::CurrentLane() const {
-  if (tls_sched != this) return kGlobalLane;
-  const int lane = tls_lane;
-  if (lane < 0 || lane >= static_cast<int>(lanes_.size())) return kGlobalLane;
-  return lane;
+  lane_seq_.push_back(0);
+  return LaneCount() - 1;
 }
 
 Scheduler::LaneScope::LaneScope(Scheduler& sched, int lane)
-    : prev_sched_(tls_sched), prev_lane_(tls_lane) {
-  tls_sched = &sched;
-  tls_lane = (lane >= 0 && lane < sched.LaneCount()) ? lane : kGlobalLane;
+    : sched_(sched), prev_lane_(sched.lane_) {
+  sched.lane_ = (lane >= 0 && lane < sched.LaneCount()) ? lane : kGlobalLane;
 }
 
-Scheduler::LaneScope::~LaneScope() {
-  tls_sched = prev_sched_;
-  tls_lane = prev_lane_;
-}
+Scheduler::LaneScope::~LaneScope() { sched_.lane_ = prev_lane_; }
 
-std::uint32_t Scheduler::Grab(Lane& lane, Callback cb, const char* tag,
-                              bool observer) {
+EventId Scheduler::ScheduleImpl(int sort_lane, int exec_lane, SimTime when,
+                                Callback cb, const char* tag, bool observer) {
   std::uint32_t slot;
-  if (!lane.free.empty()) {
-    slot = lane.free.back();
-    lane.free.pop_back();
+  if (!free_.empty()) {
+    slot = free_.back();
+    free_.pop_back();
   } else {
-    slot = static_cast<std::uint32_t>(lane.slab.size());
-    lane.slab.emplace_back();
+    slot = static_cast<std::uint32_t>(slab_.size());
+    slab_.emplace_back();
   }
-  Event& ev = lane.slab[slot];
+  Event& ev = slab_[slot];
   ev.cb = std::move(cb);
   ev.tag = tag;
+  ev.exec_lane = exec_lane;
   ev.armed = true;
   ev.observer = observer;
-  ++lane.live;
-  return slot;
-}
-
-void Scheduler::Release(Lane& lane, Event& ev, std::uint32_t slot) {
-  ev.cb = nullptr;  // release captured state eagerly
-  ev.tag = nullptr;
-  ev.armed = false;
-  ev.observer = false;
-  ++ev.gen;
-  lane.free.push_back(slot);
-  --lane.live;
-}
-
-EventId Scheduler::ScheduleImpl(int exec_lane, SimTime when, Callback cb,
-                                const char* tag, bool observer) {
-  Lane& lane = lanes_[static_cast<std::size_t>(exec_lane)];
-  const SimTime floor = Now();
-  const std::uint32_t slot = Grab(lane, std::move(cb), tag, observer);
+  ++live_;
   HeapEntry e;
-  e.when = when < floor ? floor : when;
-  e.seq = lane.next_seq++;
-  e.sort_lane = exec_lane;
-  e.exec_lane = exec_lane;
+  e.when = when < now_ ? now_ : when;
+  e.seq = lane_seq_[static_cast<std::size_t>(sort_lane)]++;
+  e.sort_lane = sort_lane;
   e.slot = slot;
-  e.gen = lane.slab[slot].gen;
-  if (parallel_active_) {
-    lane.queue.push(e);
-  } else {
-    queue_.push(e);
-  }
-  return MakeId(exec_lane, slot, e.gen);
+  e.gen = ev.gen;
+  queue_.push(e);
+  return MakeId(slot, e.gen);
 }
 
 EventId Scheduler::ScheduleAtLane(int exec_lane, SimTime when, Callback cb,
                                   const char* tag) {
-  const int src = CurrentLane();
   if (exec_lane < 0 || exec_lane >= LaneCount()) exec_lane = kGlobalLane;
-  Lane& sender = lanes_[static_cast<std::size_t>(src)];
-  const SimTime floor = Now();
-  const SimTime at = when < floor ? floor : when;
-  const std::uint64_t seq = sender.next_seq++;
-  if (parallel_active_ && tls_in_window && tls_sched == this &&
-      exec_lane != src) {
-    // Inside a window on a lane thread: the target lane may be running
-    // concurrently, so the event goes to the single-producer mailbox and is
-    // materialized by the coordinator at the barrier. The lookahead contract
-    // guarantees `at` lies beyond the current window.
-    auto& box = sender.outbox[static_cast<std::size_t>(exec_lane)];
-    if (box.empty()) sender.out_touched.push_back(exec_lane);
-    box.push_back(MailEntry{at, seq, src, std::move(cb), tag});
-    return 0;
-  }
-  Lane& exec = lanes_[static_cast<std::size_t>(exec_lane)];
-  const std::uint32_t slot = Grab(exec, std::move(cb), tag, /*observer=*/false);
-  HeapEntry e{at, seq, src, exec_lane, slot, exec.slab[slot].gen};
-  if (parallel_active_) {
-    exec.queue.push(e);
-  } else {
-    queue_.push(e);
-  }
-  return MakeId(exec_lane, slot, e.gen);
+  return ScheduleImpl(lane_, exec_lane, when, std::move(cb), tag,
+                      /*observer=*/false);
+}
+
+void Scheduler::Release(Event& ev, std::uint32_t slot) {
+  ev.cb = nullptr;  // release captured state eagerly
+  ev.tag = nullptr;
+  ev.armed = false;
+  ev.observer = false;
+  if (++ev.gen == 0) ev.gen = 1;
+  free_.push_back(slot);
+  --live_;
 }
 
 bool Scheduler::Cancel(EventId id) {
-  const std::uint32_t slot =
-      static_cast<std::uint32_t>(id & ((1u << kSlotBits) - 1));
-  const std::uint32_t gen24 =
-      static_cast<std::uint32_t>((id >> kSlotBits) & ((1u << kGenBits) - 1));
-  const int lane_index = static_cast<int>(id >> (kGenBits + kSlotBits));
-  if (lane_index >= LaneCount()) return false;
-  Lane& lane = lanes_[static_cast<std::size_t>(lane_index)];
-  if (slot >= lane.slab.size()) return false;
-  Event& ev = lane.slab[slot];
-  if (!ev.armed || (ev.gen & ((1u << kGenBits) - 1)) != gen24) return false;
-  Release(lane, ev, slot);
+  const auto slot = static_cast<std::uint32_t>(id);
+  const auto gen = static_cast<std::uint32_t>(id >> 32);
+  if (slot >= slab_.size()) return false;
+  Event& ev = slab_[slot];
+  if (!ev.armed || ev.gen != gen) return false;
+  Release(ev, slot);
   // The heap entry stays behind as a stale (slot, gen) pair and is skipped
   // when it surfaces; the generation bump makes it unambiguous.
   return true;
 }
 
-bool Scheduler::PopNext(Fired* out) {
+bool Scheduler::SkipStale() {
   while (!queue_.empty()) {
-    const HeapEntry top = queue_.top();
-    queue_.pop();
-    Lane& lane = lanes_[static_cast<std::size_t>(top.exec_lane)];
-    Event& ev = lane.slab[top.slot];
-    if (!ev.armed || ev.gen != top.gen) continue;  // was cancelled
-    out->when = top.when;
-    out->seq = top.seq;
-    out->sort_lane = top.sort_lane;
-    out->exec_lane = top.exec_lane;
-    out->cb = std::move(ev.cb);
-    out->tag = ev.tag;
-    out->observer = ev.observer;
-    Release(lane, ev, top.slot);
-    if (!queue_.empty()) {
-      const HeapEntry& nxt = queue_.top();
-      PrefetchSlot(&lanes_[static_cast<std::size_t>(nxt.exec_lane)]
-                        .slab[nxt.slot]);
-    }
-    return true;
+    const HeapEntry& top = queue_.top();
+    const Event& ev = slab_[top.slot];
+    if (ev.armed && ev.gen == top.gen) return true;
+    queue_.pop();  // was cancelled
   }
   return false;
 }
 
-bool Scheduler::PeekLane(Lane& lane, HeapEntry* out) {
-  while (!lane.queue.empty()) {
-    const HeapEntry top = lane.queue.top();
-    Event& ev = lane.slab[top.slot];
-    if (!ev.armed || ev.gen != top.gen) {  // cancelled: drop and continue
-      lane.queue.pop();
-      continue;
-    }
-    *out = top;
-    return true;
-  }
-  return false;
-}
-
-void Scheduler::Dispatch(Fired& fired) {
-  now_ = fired.when;
-  Lane& lane = lanes_[static_cast<std::size_t>(fired.exec_lane)];
-  lane.now = fired.when;
-  ++lane.dispatched;
-  if (!fired.observer) ++lane.executed;
-  tls_lane = fired.exec_lane;
+void Scheduler::FireTop() {
+  const HeapEntry top = queue_.top();
+  queue_.pop();
+  Event& ev = slab_[top.slot];
+  Callback cb = std::move(ev.cb);
+  const char* tag = ev.tag;
+  const bool observer = ev.observer;
+  lane_ = ev.exec_lane;
+  Release(ev, top.slot);
+  if (!queue_.empty()) PrefetchSlot(&slab_[queue_.top().slot]);
+  now_ = top.when;
+  if (!observer) ++executed_;
   if (profiler_ != nullptr) {
     const std::uint64_t t0 = SteadyNowNs();
-    fired.cb();
-    profiler_->OnEvent(fired.tag, now_, t0, SteadyNowNs());
+    cb();
+    profiler_->OnEvent(tag, now_, t0, SteadyNowNs());
   } else {
-    fired.cb();
+    cb();
   }
 }
 
 std::uint64_t Scheduler::Run(std::uint64_t limit) {
-  const ContextSave prev = SaveContext(this, /*in_window=*/false);
+  const int prev_lane = lane_;
   std::uint64_t n = 0;
-  Fired fired;
-  while (n < limit && PopNext(&fired)) {
+  while (n < limit && SkipStale()) {
+    FireTop();
     ++n;
-    Dispatch(fired);
   }
-  RestoreContext(prev);
-  return n;
-}
-
-std::uint64_t Scheduler::RunUntilSerial(SimTime until) {
-  const ContextSave prev = SaveContext(this, /*in_window=*/false);
-  std::uint64_t n = 0;
-  Fired fired;
-  while (!queue_.empty()) {
-    const HeapEntry top = queue_.top();
-    Lane& lane = lanes_[static_cast<std::size_t>(top.exec_lane)];
-    Event& ev = lane.slab[top.slot];
-    if (!ev.armed || ev.gen != top.gen) {  // cancelled: drop and continue
-      queue_.pop();
-      continue;
-    }
-    if (top.when > until) break;
-    queue_.pop();
-    fired.when = top.when;
-    fired.seq = top.seq;
-    fired.sort_lane = top.sort_lane;
-    fired.exec_lane = top.exec_lane;
-    fired.cb = std::move(ev.cb);
-    fired.tag = ev.tag;
-    fired.observer = ev.observer;
-    Release(lane, ev, top.slot);
-    if (!queue_.empty()) {
-      const HeapEntry& nxt = queue_.top();
-      PrefetchSlot(&lanes_[static_cast<std::size_t>(nxt.exec_lane)]
-                        .slab[nxt.slot]);
-    }
-    ++n;
-    Dispatch(fired);
-  }
-  if (now_ < until) now_ = until;
-  RestoreContext(prev);
+  lane_ = prev_lane;
   return n;
 }
 
 std::uint64_t Scheduler::RunUntil(SimTime until) {
-  if (threads_ > 1 && lookahead_ > 0 && LaneCount() > 1) {
-    return RunUntilParallel(until);
-  }
-  return RunUntilSerial(until);
-}
-
-bool Scheduler::Step() {
-  const ContextSave prev = SaveContext(this, /*in_window=*/false);
-  Fired fired;
-  const bool fired_one = PopNext(&fired);
-  if (fired_one) Dispatch(fired);
-  RestoreContext(prev);
-  return fired_one;
-}
-
-std::size_t Scheduler::PendingEvents() const {
-  std::size_t n = 0;
-  for (const Lane& lane : lanes_) n += lane.live;
-  return n;
-}
-
-std::uint64_t Scheduler::ExecutedEvents() const {
+  const int prev_lane = lane_;
   std::uint64_t n = 0;
-  for (const Lane& lane : lanes_) n += lane.executed;
-  return n;
-}
-
-std::uint64_t Scheduler::TotalDispatched() const {
-  std::uint64_t n = 0;
-  for (const Lane& lane : lanes_) n += lane.dispatched;
-  return n;
-}
-
-std::size_t Scheduler::PoolCapacity() const {
-  std::size_t n = 0;
-  for (const Lane& lane : lanes_) n += lane.slab.size();
-  return n;
-}
-
-std::size_t Scheduler::PoolFree() const {
-  std::size_t n = 0;
-  for (const Lane& lane : lanes_) n += lane.free.size();
-  return n;
-}
-
-void Scheduler::SetParallel(int threads, SimDuration lookahead) {
-  threads_ = threads < 1 ? 1 : threads;
-  lookahead_ = lookahead;
-}
-
-bool Scheduler::Deferring() const {
-  return parallel_active_ && tls_in_window && tls_sched == this;
-}
-
-void Scheduler::DeferShared(std::function<void()> op) {
-  if (!Deferring()) {
-    op();
-    return;
+  while (SkipStale() && queue_.top().when <= until) {
+    FireTop();
+    ++n;
   }
-  Lane& lane = lanes_[static_cast<std::size_t>(tls_lane)];
-  lane.ops.push_back(DeferredOp{lane.cur_when, lane.cur_seq,
-                                lane.cur_sort_lane, lane.op_sub++,
-                                std::move(op)});
-}
-
-// ----------------------------------------------------------------------
-// Conservative parallel engine
-// ----------------------------------------------------------------------
-
-void Scheduler::EnterParallel() {
-  parallel_active_ = true;
-  const int lanes = LaneCount();
-  for (Lane& lane : lanes_) {
-    lane.now = now_;
-    lane.outbox.assign(static_cast<std::size_t>(lanes),
-                       std::vector<MailEntry>());
-    lane.out_touched.clear();
-    lane.ops.clear();
-    lane.op_sub = 0;
-  }
-  // Partition the serial global queue into the per-lane queues. Stale
-  // (cancelled) entries are dropped for good here.
-  while (!queue_.empty()) {
-    const HeapEntry top = queue_.top();
-    queue_.pop();
-    Lane& lane = lanes_[static_cast<std::size_t>(top.exec_lane)];
-    const Event& ev = lane.slab[top.slot];
-    if (!ev.armed || ev.gen != top.gen) continue;
-    lane.queue.push(top);
-  }
-  // Static lane-to-worker assignment, round-robin so machines of one kind
-  // (the endorser block, the broker block) spread across workers.
-  const int workers = std::min(threads_, lanes);
-  worker_lanes_.assign(static_cast<std::size_t>(workers), std::vector<int>());
-  for (int lane = 0; lane < lanes; ++lane) {
-    worker_lanes_[static_cast<std::size_t>(lane % workers)].push_back(lane);
-  }
-  worker_profilers_.clear();
-  if (profiler_ != nullptr) {
-    for (int w = 0; w < workers; ++w) {
-      worker_profilers_.push_back(std::make_unique<DesProfiler>());
-    }
-  }
-  stop_workers_.store(false, std::memory_order_relaxed);
-  epoch_.store(0, std::memory_order_relaxed);
-  remaining_.store(0, std::memory_order_relaxed);
-  if (workers > 1) {
-    pool_ = std::make_unique<runner::ThreadPool>(
-        static_cast<unsigned>(workers - 1));
-    for (int w = 1; w < workers; ++w) {
-      pool_->Submit([this, w] { WorkerLoop(w); });
-    }
-  }
-}
-
-void Scheduler::ExitParallel() {
-  if (pool_ != nullptr) {
-    stop_workers_.store(true, std::memory_order_release);
-    epoch_.fetch_add(1, std::memory_order_release);
-    epoch_.notify_all();
-    pool_.reset();  // drains and joins the persistent worker loops
-  }
-  // Merge the per-lane queues back into the serial global queue so Run(),
-  // Step(), and serial RunUntil keep working after a parallel run.
-  for (Lane& lane : lanes_) {
-    while (!lane.queue.empty()) {
-      const HeapEntry top = lane.queue.top();
-      lane.queue.pop();
-      const Event& ev = lane.slab[top.slot];
-      if (!ev.armed || ev.gen != top.gen) continue;
-      queue_.push(top);
-    }
-    lane.outbox.clear();
-    lane.out_touched.clear();
-  }
-  if (profiler_ != nullptr) {
-    for (const auto& wp : worker_profilers_) profiler_->Merge(*wp);
-  }
-  worker_profilers_.clear();
-  worker_lanes_.clear();
-  parallel_active_ = false;
-}
-
-void Scheduler::WorkerLoop(int w) {
-  std::uint64_t seen = 0;
-  for (;;) {
-    std::uint64_t e = epoch_.load(std::memory_order_acquire);
-    for (int spin = 0; spin < 2048 && e == seen; ++spin) {
-      e = epoch_.load(std::memory_order_acquire);
-    }
-    while (e == seen) {  // blocking wait after the short spin
-      epoch_.wait(seen, std::memory_order_acquire);
-      e = epoch_.load(std::memory_order_acquire);
-    }
-    seen = e;
-    if (stop_workers_.load(std::memory_order_acquire)) return;
-    const SimTime wend = win_end_;
-    DesProfiler* prof = worker_profilers_.empty()
-                            ? nullptr
-                            : worker_profilers_[static_cast<std::size_t>(w)].get();
-    for (int lane : worker_lanes_[static_cast<std::size_t>(w)]) {
-      RunLaneWindow(lane, wend, prof);
-    }
-    remaining_.fetch_sub(1, std::memory_order_release);
-    remaining_.notify_all();
-  }
-}
-
-void Scheduler::RunLaneWindow(int lane_index, SimTime win_end,
-                              DesProfiler* prof) {
-  Lane& lane = lanes_[static_cast<std::size_t>(lane_index)];
-  const ContextSave prev = SaveContext(this, /*in_window=*/true);
-  tls_lane = lane_index;
-  HeapEntry top;
-  while (PeekLane(lane, &top) && top.when < win_end) {
-    lane.queue.pop();
-    Event& ev = lane.slab[top.slot];
-    Callback cb = std::move(ev.cb);
-    const char* tag = ev.tag;
-    const bool observer = ev.observer;
-    Release(lane, ev, top.slot);
-    if (!lane.queue.empty()) {
-      PrefetchSlot(&lane.slab[lane.queue.top().slot]);
-    }
-    lane.now = top.when;
-    lane.cur_when = top.when;
-    lane.cur_seq = top.seq;
-    lane.cur_sort_lane = top.sort_lane;
-    ++lane.dispatched;
-    if (!observer) ++lane.executed;
-    if (prof != nullptr) {
-      const std::uint64_t t0 = SteadyNowNs();
-      cb();
-      prof->OnEvent(tag, lane.now, t0, SteadyNowNs());
-    } else {
-      cb();
-    }
-  }
-  // Batched per-window advance: one clock write covers every empty tick up
-  // to the window boundary.
-  if (lane.now < win_end - 1) lane.now = win_end - 1;
-  RestoreContext(prev);
-}
-
-void Scheduler::RunInstant(SimTime t) {
-  const ContextSave prev = SaveContext(this, /*in_window=*/false);
-  DesProfiler* prof = worker_profilers_.empty()
-                          ? profiler_
-                          : worker_profilers_[0].get();
-  now_ = t;
-  for (;;) {
-    // k-way min over lane queue heads, restricted to time t: the global key
-    // order of the serial engine, one instant at a time.
-    int best_lane = -1;
-    HeapEntry best{};
-    for (int i = 0; i < LaneCount(); ++i) {
-      HeapEntry e;
-      if (!PeekLane(lanes_[static_cast<std::size_t>(i)], &e)) continue;
-      if (e.when != t) continue;
-      const bool better = best_lane < 0 || e.sort_lane < best.sort_lane ||
-                          (e.sort_lane == best.sort_lane && e.seq < best.seq);
-      if (better) {
-        best = e;
-        best_lane = i;
-      }
-    }
-    if (best_lane < 0) break;
-    Lane& lane = lanes_[static_cast<std::size_t>(best_lane)];
-    lane.queue.pop();
-    Event& ev = lane.slab[best.slot];
-    Callback cb = std::move(ev.cb);
-    const char* tag = ev.tag;
-    const bool observer = ev.observer;
-    Release(lane, ev, best.slot);
-    lane.now = t;
-    ++lane.dispatched;
-    if (!observer) ++lane.executed;
-    tls_lane = best_lane;
-    if (prof != nullptr) {
-      const std::uint64_t t0 = SteadyNowNs();
-      cb();
-      prof->OnEvent(tag, t, t0, SteadyNowNs());
-    } else {
-      cb();
-    }
-  }
-  RestoreContext(prev);
-}
-
-void Scheduler::DrainMailboxes() {
-  for (Lane& src : lanes_) {
-    if (src.out_touched.empty()) continue;
-    for (const int dst : src.out_touched) {
-      Lane& d = lanes_[static_cast<std::size_t>(dst)];
-      auto& box = src.outbox[static_cast<std::size_t>(dst)];
-      for (MailEntry& m : box) {
-        // The lookahead contract makes this clamp a no-op; it is kept as a
-        // safety net so a misdeclared lookahead degrades to a causality
-        // clamp instead of time travel.
-        const SimTime at = m.when < d.now ? d.now : m.when;
-        const std::uint32_t slot =
-            Grab(d, std::move(m.cb), m.tag, /*observer=*/false);
-        d.queue.push(
-            HeapEntry{at, m.seq, m.sort_lane, dst, slot, d.slab[slot].gen});
-      }
-      box.clear();
-    }
-    src.out_touched.clear();
-  }
-}
-
-void Scheduler::FlushDeferredOps() {
-  scratch_ops_.clear();
-  for (Lane& lane : lanes_) {
-    if (lane.ops.empty()) continue;
-    std::move(lane.ops.begin(), lane.ops.end(),
-              std::back_inserter(scratch_ops_));
-    lane.ops.clear();
-  }
-  if (scratch_ops_.empty()) return;
-  // Exact serial apply order: the deferring events' keys, then call order
-  // within one event.
-  std::sort(scratch_ops_.begin(), scratch_ops_.end(),
-            [](const DeferredOp& a, const DeferredOp& b) {
-              if (a.when != b.when) return a.when < b.when;
-              if (a.sort_lane != b.sort_lane) return a.sort_lane < b.sort_lane;
-              if (a.seq != b.seq) return a.seq < b.seq;
-              return a.sub < b.sub;
-            });
-  for (DeferredOp& d : scratch_ops_) d.op();
-  scratch_ops_.clear();
-}
-
-std::uint64_t Scheduler::RunUntilParallel(SimTime until) {
-  const std::uint64_t before = TotalDispatched();
-  EnterParallel();
-  const int workers = static_cast<int>(worker_lanes_.size());
-  for (;;) {
-    // Global minimum next-event time, and the control lane's next time.
-    SimTime tmin = -1;
-    SimTime t0 = -1;
-    for (int i = 0; i < LaneCount(); ++i) {
-      HeapEntry e;
-      if (!PeekLane(lanes_[static_cast<std::size_t>(i)], &e)) continue;
-      if (tmin < 0 || e.when < tmin) tmin = e.when;
-      if (i == kGlobalLane) t0 = e.when;
-    }
-    if (tmin < 0 || tmin > until) break;
-    if (t0 == tmin) {
-      // A control-lane event is due at the horizon: run this instant
-      // serially across all lanes so its global side effects (faults,
-      // samplers) interleave exactly as in the serial engine.
-      RunInstant(tmin);
-      ++instants_;
-      continue;
-    }
-    SimTime wend = tmin + lookahead_;
-    if (t0 >= 0 && t0 < wend) wend = t0;
-    if (until + 1 < wend) wend = until + 1;
-    win_end_ = wend;
-    if (workers > 1) {
-      remaining_.store(workers - 1, std::memory_order_relaxed);
-      epoch_.fetch_add(1, std::memory_order_release);
-      epoch_.notify_all();
-    }
-    DesProfiler* prof =
-        worker_profilers_.empty() ? nullptr : worker_profilers_[0].get();
-    for (int lane : worker_lanes_[0]) RunLaneWindow(lane, wend, prof);
-    if (workers > 1) {
-      int r = remaining_.load(std::memory_order_acquire);
-      while (r != 0) {
-        remaining_.wait(r, std::memory_order_acquire);
-        r = remaining_.load(std::memory_order_acquire);
-      }
-    }
-    ++windows_;
-    DrainMailboxes();
-    FlushDeferredOps();
-    now_ = wend - 1;
-  }
-  ExitParallel();
   if (now_ < until) now_ = until;
-  return TotalDispatched() - before;
+  lane_ = prev_lane;
+  return n;
 }
+
+bool Scheduler::Step() { return Run(1) == 1; }
 
 }  // namespace fabricsim::sim

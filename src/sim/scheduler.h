@@ -1,5 +1,4 @@
-// Deterministic discrete-event scheduler with an optional conservative-PDES
-// parallel engine.
+// Deterministic discrete-event scheduler.
 //
 // The scheduler is the heart of the simulation: every component (network
 // links, CPU cores, protocol timers) enqueues callbacks at future simulated
@@ -12,38 +11,21 @@
 // monotone insertion counter. Lane 0 is the global/control lane (setup code,
 // fault injection, samplers); Environment::AddMachine allocates one lane per
 // simulated machine. A scheduler that never adds lanes degenerates to the
-// classic (time, insertion-sequence) order. Because a lane's counter is
-// advanced only by that lane's own execution, the key of every event is
-// identical whether the run is serial or parallel — which is what makes the
-// two engines produce byte-identical simulated output.
+// classic (time, insertion-sequence) order.
 //
 // Every event also carries an *execution* lane: the lane whose state the
-// callback touches (for cross-lane sends — network deliveries — the sort key
-// comes from the sender, the execution lane from the receiver). The serial
-// engine ignores the distinction and runs one global key-ordered queue; the
-// parallel engine partitions events by execution lane.
+// callback touches, and therefore the lane its own schedules are keyed in.
+// For cross-lane sends (network deliveries) the sort key comes from the
+// sender, the execution lane from the receiver. Because a lane's counter is
+// advanced only by that lane's own events, the order among one machine's
+// events does not depend on how other machines' traffic interleaves. Every
+// pinned chain head and committed bench baseline was recorded under this
+// order, so it is kept exactly as it is (DESIGN.md §8).
 //
-// ## Conservative parallel engine (SetParallel)
-//
-// Classic conservative PDES with static lookahead: the coordinator picks the
-// global minimum next-event time T and runs every lane independently over
-// the window [T, T + lookahead) on `threads` host threads (the calling
-// thread doubles as worker 0; extra workers live on a runner::ThreadPool).
-// Lookahead comes from the network's minimum cross-machine delivery latency
-// (see Network::LookaheadFloor), so no in-window cross-lane message can be
-// due inside the window that produced it. Cross-lane schedules append to
-// single-producer mailboxes drained at the barrier; shared-state side
-// effects registered via DeferShared are buffered per lane and applied at
-// the barrier in exact key order. Any instant where the global lane has an
-// event (fault injections, samplers) is executed as a *serial instant* — all
-// lanes' events at exactly that time run on the coordinator in global key
-// order — so control-lane effects interleave exactly as in the serial
-// engine. Windows with no events are skipped by jumping T to the next event.
-//
-// Events live in per-lane slabs with free lists: each schedule reuses a
-// recycled slot instead of heap-allocating per event, and the priority
-// queues hold small POD entries. Slot generations make cancelled or
-// recycled slots unambiguous.
+// Events live in one slab with a free list: each schedule reuses a recycled
+// slot instead of heap-allocating per event, and the priority queue holds
+// small POD entries. Slot generations make cancelled or recycled slots
+// unambiguous.
 //
 // Two orthogonal extensions serve observability without disturbing results:
 //
@@ -57,19 +39,13 @@
 //    executed-event count that the bench regression gate compares.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <queue>
 #include <vector>
 
 #include "sim/time.h"
-
-namespace fabricsim::runner {
-class ThreadPool;
-}  // namespace fabricsim::runner
 
 namespace fabricsim::sim {
 
@@ -81,11 +57,9 @@ using EventId = std::uint64_t;
 
 /// Discrete-event scheduler with cancellable events.
 ///
-/// Serial by default and fully deterministic. Event callbacks may schedule
+/// Single-threaded and fully deterministic. Event callbacks may schedule
 /// further events (including at the current time, which run after all
-/// previously queued events for that time). With SetParallel(n > 1),
-/// RunUntil executes lanes concurrently under the conservative-PDES engine;
-/// all other entry points (Run, Step) stay serial.
+/// previously queued events of the same lane for that time).
 class Scheduler {
  public:
   using Callback = std::function<void()>;
@@ -94,32 +68,32 @@ class Scheduler {
   static constexpr int kGlobalLane = 0;
 
   Scheduler();
-  ~Scheduler();
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  /// Current simulated time. Starts at zero. Under the parallel engine this
-  /// is the calling lane's local clock (lanes inside one lookahead window
-  /// advance independently); everywhere else the two are the same clock.
-  [[nodiscard]] SimTime Now() const;
+  /// Current simulated time. Starts at zero.
+  [[nodiscard]] SimTime Now() const { return now_; }
 
   // ------------------------------------------------------------------
   // Lanes
   // ------------------------------------------------------------------
 
   /// Allocates a new lane (logical process) and returns its id. Lane 0
-  /// always exists. Must be called during setup, not from event callbacks.
+  /// always exists.
   int AddLane();
 
-  [[nodiscard]] int LaneCount() const { return static_cast<int>(lanes_.size()); }
+  [[nodiscard]] int LaneCount() const {
+    return static_cast<int>(lane_seq_.size());
+  }
 
   /// The lane of the current scheduling context: the executing event's lane
   /// during dispatch, or whatever the innermost LaneScope set during setup
   /// (lane 0 outside both).
-  [[nodiscard]] int CurrentLane() const;
+  [[nodiscard]] int CurrentLane() const { return lane_; }
 
   /// RAII lane context for setup code: components constructed (and Start()ed)
-  /// under a LaneScope schedule their events into that lane.
+  /// under a LaneScope schedule their events into that lane. An out-of-range
+  /// lane selects the global lane.
   class LaneScope {
    public:
     LaneScope(Scheduler& sched, int lane);
@@ -128,7 +102,7 @@ class Scheduler {
     LaneScope& operator=(const LaneScope&) = delete;
 
    private:
-    const Scheduler* prev_sched_;
+    Scheduler& sched_;
     int prev_lane_;
   };
 
@@ -141,21 +115,19 @@ class Scheduler {
   /// `tag` must be a string literal (or otherwise outlive the scheduler);
   /// it names the handler in profiler output.
   EventId ScheduleAt(SimTime when, Callback cb, const char* tag = nullptr) {
-    return ScheduleImpl(CurrentLane(), when, std::move(cb), tag,
+    return ScheduleImpl(lane_, lane_, when, std::move(cb), tag,
                         /*observer=*/false);
   }
 
   /// Schedules `cb` to run `delay` after the current time.
   EventId ScheduleAfter(SimDuration delay, Callback cb,
                         const char* tag = nullptr) {
-    return ScheduleAt(Now() + (delay < 0 ? 0 : delay), std::move(cb), tag);
+    return ScheduleAt(now_ + (delay < 0 ? 0 : delay), std::move(cb), tag);
   }
 
   /// Cross-lane scheduling: `cb` runs in `exec_lane`, ordered by the
   /// *current* context's (time, lane, seq) key — the sender's causal
-  /// position. Under the parallel engine the event must respect the
-  /// lookahead (network deliveries always do); the returned id is 0 there
-  /// (mailbox entries are not cancellable).
+  /// position. An out-of-range `exec_lane` selects the global lane.
   EventId ScheduleAtLane(int exec_lane, SimTime when, Callback cb,
                          const char* tag = nullptr);
 
@@ -164,20 +136,18 @@ class Scheduler {
   /// callbacks must not mutate simulation state.
   EventId ScheduleObserverAt(SimTime when, Callback cb,
                              const char* tag = nullptr) {
-    return ScheduleImpl(CurrentLane(), when, std::move(cb), tag,
+    return ScheduleImpl(lane_, lane_, when, std::move(cb), tag,
                         /*observer=*/true);
   }
   EventId ScheduleObserverAfter(SimDuration delay, Callback cb,
                                 const char* tag = nullptr) {
-    return ScheduleObserverAt(Now() + (delay < 0 ? 0 : delay), std::move(cb),
+    return ScheduleObserverAt(now_ + (delay < 0 ? 0 : delay), std::move(cb),
                               tag);
   }
 
   /// Cancels a pending event. Returns true if the event existed and had not
   /// yet fired; cancelling a fired or unknown event is a harmless no-op.
-  /// The callback is destroyed (captures released) immediately. Under the
-  /// parallel engine an event may only be cancelled from its own lane (or
-  /// at a barrier).
+  /// The callback is destroyed (captures released) immediately.
   bool Cancel(EventId id);
 
   // ------------------------------------------------------------------
@@ -186,59 +156,22 @@ class Scheduler {
 
   /// Runs events until the queue is empty or `limit` events have run.
   /// Returns the number of events executed (observer events included).
-  /// Always serial.
   std::uint64_t Run(std::uint64_t limit = UINT64_MAX);
 
-  /// Runs events with time <= `until`. After returning, `Now() == until`
-  /// unless the queue emptied first (then Now() is the last event time).
-  /// Returns the number of events executed. Uses the parallel engine when
-  /// SetParallel configured more than one thread.
+  /// Runs events with time <= `until`, then advances the clock to `until`.
+  /// Returns the number of events executed.
   std::uint64_t RunUntil(SimTime until);
 
   /// Executes exactly one event if any is pending. Returns false if idle.
-  /// Always serial.
   bool Step();
 
   /// Number of events currently scheduled and not yet fired or cancelled.
-  [[nodiscard]] std::size_t PendingEvents() const;
+  [[nodiscard]] std::size_t PendingEvents() const { return live_; }
 
   /// Total number of component events executed since construction. Observer
   /// events are excluded, so this count is invariant under attached
   /// observability and is compared bit-exactly by the bench gate.
-  [[nodiscard]] std::uint64_t ExecutedEvents() const;
-
-  // ------------------------------------------------------------------
-  // Parallel engine configuration
-  // ------------------------------------------------------------------
-
-  /// Configures the conservative-PDES engine: `threads` host threads (the
-  /// calling thread included) execute lanes in lookahead-sized windows
-  /// during RunUntil. `threads <= 1` (the default) keeps the exact serial
-  /// path. `lookahead` must be positive — use the network's
-  /// LookaheadFloor(). Simulated output is byte-identical at any thread
-  /// count; see DESIGN.md "Conservative PDES" for the argument.
-  void SetParallel(int threads, SimDuration lookahead);
-
-  [[nodiscard]] int ParallelThreads() const { return threads_; }
-  [[nodiscard]] SimDuration Lookahead() const { return lookahead_; }
-
-  /// Number of parallel windows executed so far (0 on serial runs) and
-  /// serial instants taken for global-lane events — host-side diagnostics
-  /// for the pdes_speedup bench.
-  [[nodiscard]] std::uint64_t WindowsRun() const { return windows_; }
-  [[nodiscard]] std::uint64_t SerialInstants() const { return instants_; }
-
-  /// True while the caller is inside a parallel window on a lane thread —
-  /// the signal for shared-state mutators (TxTracker) to defer their side
-  /// effects through DeferShared instead of applying them directly.
-  [[nodiscard]] bool Deferring() const;
-
-  /// Buffers `op` (a side effect on state shared across lanes) stamped with
-  /// the executing event's key; all buffered ops are applied at the next
-  /// window barrier in exact global key order — the order the serial engine
-  /// would have applied them in. Outside a parallel window, runs `op`
-  /// immediately.
-  void DeferShared(std::function<void()> op);
+  [[nodiscard]] std::uint64_t ExecutedEvents() const { return executed_; }
 
   // ------------------------------------------------------------------
   // Introspection / profiling
@@ -246,16 +179,14 @@ class Scheduler {
 
   /// Attaches (or detaches, with nullptr) the host-time profiler. The
   /// profiler must outlive its attachment. When detached — the default —
-  /// dispatch pays one predictable branch. Under the parallel engine each
-  /// worker collects into a private profiler, merged into the attached one
-  /// at the end of RunUntil.
+  /// dispatch pays one predictable branch.
   void SetProfiler(DesProfiler* profiler) { profiler_ = profiler; }
 
   /// Pool introspection (tests): total slots ever created, and how many are
-  /// currently on the free list, summed over lanes. Capacity grows to the
-  /// high-water mark of concurrently pending events and is then reused.
-  [[nodiscard]] std::size_t PoolCapacity() const;
-  [[nodiscard]] std::size_t PoolFree() const;
+  /// currently on the free list. Capacity grows to the high-water mark of
+  /// concurrently pending events and is then reused.
+  [[nodiscard]] std::size_t PoolCapacity() const { return slab_.size(); }
+  [[nodiscard]] std::size_t PoolFree() const { return free_.size(); }
 
  private:
   // One pooled event slot. `gen` is bumped every time the slot is released
@@ -265,17 +196,16 @@ class Scheduler {
     Callback cb;
     const char* tag = nullptr;
     std::uint32_t gen = 1;
+    std::int32_t exec_lane = 0;
     bool armed = false;  // a live (scheduled, uncancelled) event occupies it
     bool observer = false;
   };
-  // What the priority queues actually sort: 32 bytes, trivially copyable.
-  // (sort_lane, seq) is the deterministic tie-break at equal times;
-  // exec_lane names the slab the slot lives in.
+  // What the priority queue actually sorts: 32 bytes, trivially copyable.
+  // (sort_lane, seq) is the deterministic tie-break at equal times.
   struct HeapEntry {
     SimTime when = 0;
     std::uint64_t seq = 0;  // per-sort-lane insertion order
     std::int32_t sort_lane = 0;
-    std::int32_t exec_lane = 0;
     std::uint32_t slot = 0;
     std::uint32_t gen = 0;
   };
@@ -286,114 +216,30 @@ class Scheduler {
       return a.seq > b.seq;
     }
   };
-  using LaneQueue = std::priority_queue<HeapEntry, std::vector<HeapEntry>, Later>;
-  // A popped, about-to-run event (callback already moved out of the slab).
-  struct Fired {
-    SimTime when = 0;
-    std::uint64_t seq = 0;
-    std::int32_t sort_lane = 0;
-    std::int32_t exec_lane = 0;
-    Callback cb;
-    const char* tag = nullptr;
-    bool observer = false;
-  };
-  // A cross-lane schedule buffered until the window barrier. Carries the
-  // sender's sort key; the slab slot is allocated in the target lane at
-  // drain time.
-  struct MailEntry {
-    SimTime when = 0;
-    std::uint64_t seq = 0;
-    std::int32_t sort_lane = 0;
-    Callback cb;
-    const char* tag = nullptr;
-  };
-  // A deferred shared-state side effect, stamped with its event's key plus
-  // a per-lane sub-counter (call order within one event).
-  struct DeferredOp {
-    SimTime when = 0;
-    std::uint64_t seq = 0;
-    std::int32_t sort_lane = 0;
-    std::uint64_t sub = 0;
-    std::function<void()> op;
-  };
 
-  // Per-lane state. Padded so concurrently executing lanes never share a
-  // cache line through the hot counters.
-  struct alignas(64) Lane {
-    SimTime now = 0;            // lane-local clock (parallel engine)
-    std::uint64_t next_seq = 0; // sort-key counter, advanced by this lane only
-    std::uint64_t executed = 0;   // component events dispatched here
-    std::uint64_t dispatched = 0; // all events (observer included)
-    std::size_t live = 0;
-    std::deque<Event> slab;  // deque: stable refs while callbacks schedule
-    std::vector<std::uint32_t> free;
-    LaneQueue queue;  // parallel engine only; serial uses queue_
-    std::vector<std::vector<MailEntry>> outbox;  // by target lane
-    std::vector<int> out_touched;  // target lanes with a non-empty outbox
-    std::vector<DeferredOp> ops;
-    std::uint64_t op_sub = 0;
-    // The executing event's sort key (valid during dispatch on this lane).
-    SimTime cur_when = 0;
-    std::uint64_t cur_seq = 0;
-    std::int32_t cur_sort_lane = 0;
-  };
-
-  // EventId layout: [exec_lane:12][gen:24][slot:28]. Generation comparison
-  // through an id uses the low 24 bits (heap entries keep all 32).
-  static constexpr int kLaneBits = 12;
-  static constexpr int kGenBits = 24;
-  static constexpr int kSlotBits = 28;
-  static EventId MakeId(int lane, std::uint32_t slot, std::uint32_t gen) {
-    return (static_cast<EventId>(static_cast<std::uint32_t>(lane))
-            << (kGenBits + kSlotBits)) |
-           (static_cast<EventId>(gen & ((1u << kGenBits) - 1)) << kSlotBits) |
-           slot;
+  // EventId layout: [gen:32][slot:32]. Generations skip 0, so a live id is
+  // never 0.
+  static EventId MakeId(std::uint32_t slot, std::uint32_t gen) {
+    return (static_cast<EventId>(gen) << 32) | slot;
   }
 
-  EventId ScheduleImpl(int exec_lane, SimTime when, Callback cb,
+  EventId ScheduleImpl(int sort_lane, int exec_lane, SimTime when, Callback cb,
                        const char* tag, bool observer);
-  std::uint32_t Grab(Lane& lane, Callback cb, const char* tag, bool observer);
-  void Release(Lane& lane, Event& ev, std::uint32_t slot);
-  bool PopNext(Fired* out);  // serial global queue
-  // Writes `lane`'s next live entry without popping it (stale entries are
-  // dropped along the way); false when the lane queue is empty.
-  bool PeekLane(Lane& lane, HeapEntry* out);
-  void Dispatch(Fired& fired);  // serial dispatch (global clock)
-  std::uint64_t RunUntilSerial(SimTime until);
-  std::uint64_t RunUntilParallel(SimTime until);
-  [[nodiscard]] std::uint64_t TotalDispatched() const;
+  void Release(Event& ev, std::uint32_t slot);
+  // Drops cancelled entries off the heap top; false when nothing is pending.
+  bool SkipStale();
+  // Pops the (live) heap top and runs it.
+  void FireTop();
 
-  // Parallel-engine helpers (see scheduler.cpp).
-  void EnterParallel();
-  void ExitParallel();
-  void WorkerLoop(int w);  // persistent per-worker barrier loop
-  // Runs every lane's events at exactly time `t` on the calling thread in
-  // global key order (the serial engine, restricted to one instant).
-  void RunInstant(SimTime t);
-  // Runs one lane's events with when < win_end (worker body).
-  void RunLaneWindow(int lane_index, SimTime win_end, DesProfiler* prof);
-  void DrainMailboxes();
-  void FlushDeferredOps();
-
-  SimTime now_ = 0;  // serial clock
+  SimTime now_ = 0;
+  int lane_ = kGlobalLane;  // scheduling context (see CurrentLane)
+  std::uint64_t executed_ = 0;
+  std::size_t live_ = 0;
   DesProfiler* profiler_ = nullptr;
-  std::deque<Lane> lanes_;  // deque: stable references, lane 0 always exists
-  LaneQueue queue_;         // serial engine's single global queue
-
-  // Parallel engine.
-  int threads_ = 1;
-  SimDuration lookahead_ = 0;
-  bool parallel_active_ = false;
-  std::uint64_t windows_ = 0;
-  std::uint64_t instants_ = 0;
-  SimTime win_end_ = 0;  // published to workers by the epoch release
-  std::unique_ptr<runner::ThreadPool> pool_;
-  std::vector<std::vector<int>> worker_lanes_;  // lanes per worker index
-  std::vector<std::unique_ptr<DesProfiler>> worker_profilers_;
-  std::vector<DeferredOp> scratch_ops_;  // barrier-flush scratch
-  std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<int> remaining_{0};
-  std::atomic<bool> stop_workers_{false};
+  std::vector<std::uint64_t> lane_seq_;  // next sort-key seq, by lane
+  std::deque<Event> slab_;  // deque: stable refs while callbacks schedule
+  std::vector<std::uint32_t> free_;
+  std::priority_queue<HeapEntry, std::vector<HeapEntry>, Later> queue_;
 };
 
 }  // namespace fabricsim::sim

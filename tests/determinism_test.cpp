@@ -145,41 +145,6 @@ INSTANTIATE_TEST_SUITE_P(AllOrderings, DeterminismTest,
                            return "Unknown";
                          });
 
-TEST_P(DeterminismTest, ParallelEngineIsBitIdenticalToSerial) {
-  // The conservative-PDES contract: --des-threads N changes only host
-  // wall-clock, never a single simulated bit. Same fingerprint fields the
-  // bench gate compares.
-  ExperimentConfig config = ShortConfig(GetParam());
-  const Fingerprint serial = RunOnce(config);
-  for (int threads : {2, 4}) {
-    config.des_threads = threads;
-    EXPECT_EQ(RunOnce(config), serial) << "des_threads=" << threads;
-  }
-}
-
-TEST_P(DeterminismTest, ParallelEngineWithAllKnobsIsBitIdenticalToSerial) {
-  // All --opt-* knobs on top of the parallel engine: the VSCC host worker
-  // pool, MSP cache, bulk commit, and policy short-circuit each have their
-  // own thread-correctness story; combined they must still be invisible.
-  ExperimentConfig config = AllKnobsConfig(GetParam());
-  const Fingerprint serial = RunOnce(config);
-  config.des_threads = 4;
-  EXPECT_EQ(RunOnce(config), serial);
-}
-
-TEST_P(DeterminismTest, ParallelEngineUnderFaultScheduleMatchesSerial) {
-  // Fault injection runs on the control lane; every injected action lands
-  // on a serial instant, so crash/revive sequences — including failover
-  // rewiring that spans many machines — stay byte-identical in parallel.
-  ExperimentConfig config = ShortConfig(GetParam());
-  config.workload.duration = sim::FromSeconds(10);
-  config.drain = sim::FromSeconds(10);
-  config.faults = "crash:leader@6s,revive@10s";
-  const Fingerprint serial = RunOnce(config);
-  config.des_threads = 4;
-  EXPECT_EQ(RunOnce(config), serial);
-}
-
 TEST(DeterminismTest, DifferentSeedsDiverge) {
   // Sanity check that the fingerprint is sensitive at all: a different
   // workload seed must move the chain tip hash.
