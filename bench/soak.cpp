@@ -57,13 +57,10 @@ fabric::ExperimentConfig SoakConfig(double duration_s, bool streaming) {
   // conflict it produces is deterministic.
   config.workload.kind = client::WorkloadKind::kKvReadWrite;
   config.workload.key_space = 1000;
-  // Ledger-side retention: without it the block store and history index
-  // grow with every block regardless of the tracker mode. The history
-  // index's steady state is key_space x history_per_key x peers entries;
-  // keep that small enough to saturate well inside the SMALL run, or the
-  // small-vs-large RSS comparison measures history fill, not the tracker.
+  // Ledger-side retention: without it the block store grows with every
+  // block regardless of the tracker mode. Key history is read back from the
+  // resident blocks, so block retention alone bounds ledger memory.
   config.network.retention.ledger_blocks = 64;
-  config.network.retention.history_per_key = 4;
   config.network.retention.osn_history_blocks = 64;
   return config;
 }

@@ -61,8 +61,9 @@ int main() {
   std::cout << "total (conserved):     " << total << " / "
             << kAccounts * kInitialBalance << "\n";
 
-  // Inspect one account's write history (the history database).
-  const auto& history = committer.History().HistoryFor("token", "acct0");
+  // Inspect one account's write history (read back from the block store).
+  const auto history =
+      committer.Chain().Store().HistoryFor("token", "acct0");
   std::cout << "acct0 write history:   " << history.size()
             << " committed updates\n";
 

@@ -84,9 +84,14 @@ class VerifyCache {
 
   /// Independently locked stripes; power of two so the hash maps cheaply.
   static constexpr std::size_t kStripes = 16;
-  /// Total entry cap before wholesale clears (~20 MB of verdicts), split
-  /// evenly across stripes.
-  static constexpr std::size_t kMaxEntries = 1u << 17;
+  /// Total entry cap before wholesale clears (~10 MB of verdicts), split
+  /// evenly across stripes. Hits cluster on in-flight transactions, so the
+  /// cap only needs to cover that working set: halving it from 1 << 17
+  /// turned 0.04% of lookups into misses on a five-endorsement workload
+  /// (perfbench solo-and5-opt), and a cache that fills within tens of
+  /// thousands of transactions keeps long runs' peak RSS flat
+  /// (bench/soak.cpp).
+  static constexpr std::size_t kMaxEntries = 1u << 16;
 
  private:
   // Full 128-byte key: no truncation, so a hash collision can never flip a

@@ -82,13 +82,8 @@ void FabricNetwork::ApplyFailpoints() {
 
 void FabricNetwork::ApplyRetention() {
   const RetentionOptions& r = options_.retention;
-  if (r.ledger_blocks == 0 && r.history_per_key == 0 &&
-      r.osn_history_blocks == 0) {
-    return;
-  }
-  for (auto& p : peers_) {
-    p->SetLedgerRetention(r.ledger_blocks, r.history_per_key);
-  }
+  if (r.ledger_blocks == 0 && r.osn_history_blocks == 0) return;
+  for (auto& p : peers_) p->SetLedgerRetention(r.ledger_blocks);
   if (r.osn_history_blocks > 0) {
     for (int c = 0; c < ChannelCount(); ++c) {
       for (ordering::OsnBase* osn : Osns(c)) {

@@ -97,10 +97,9 @@ struct OverloadOptions {
 /// flat-RSS million-transaction runs (bench/soak.cpp).
 struct RetentionOptions {
   /// Blocks kept resident per peer ledger (0 = all). Shrinks the committer's
-  /// duplicate-tx-id detection horizon to the retained window.
+  /// duplicate-tx-id detection horizon and the key history to the retained
+  /// window.
   std::uint64_t ledger_blocks = 0;
-  /// Modifications kept per key in the history index (0 = all).
-  std::size_t history_per_key = 0;
   /// Delivered blocks kept per OSN for backfill seeks (0 = all).
   std::size_t osn_history_blocks = 0;
 };

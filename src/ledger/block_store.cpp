@@ -6,9 +6,14 @@ void BlockStore::Append(proto::BlockPtr block,
                         std::vector<proto::ValidationCode> codes) {
   const std::uint64_t num = Height();
   for (std::size_t i = 0; i < block->transactions.size(); ++i) {
-    tx_index_.emplace(
-        block->transactions[i].tx_id,
-        TxLocation{num, static_cast<std::uint32_t>(i)});
+    const std::string_view id = block->transactions[i].tx_id;
+    const TxLocation loc{num, static_cast<std::uint32_t>(i)};
+    auto [it, inserted] = tx_index_.try_emplace(id, loc);
+    if (!inserted) {
+      // A repeated id moves its entry, key view included, to this block.
+      tx_index_.erase(it);
+      tx_index_.emplace(id, loc);
+    }
   }
   total_txs_ += block->transactions.size();
   stored_bytes_ += block->WireSize();
@@ -20,11 +25,9 @@ void BlockStore::Append(proto::BlockPtr block,
 void BlockStore::PruneFront() {
   if (keep_blocks_ == 0) return;
   while (blocks_.size() > keep_blocks_) {
-    const proto::BlockPtr& oldest = blocks_.front();
-    for (const auto& tx : oldest->transactions) {
+    for (const auto& tx : blocks_.front()->transactions) {
       auto it = tx_index_.find(tx.tx_id);
-      // Guard the block number: a resubmitted tx id may have landed again in
-      // a newer (retained) block, whose index entry must survive.
+      // An id repeated in a newer (retained) block keeps its entry.
       if (it != tx_index_.end() && it->second.block_num == first_block_num_) {
         tx_index_.erase(it);
       }
@@ -51,15 +54,39 @@ proto::BlockPtr BlockStore::LastBlock() const {
   return blocks_.empty() ? nullptr : blocks_.back();
 }
 
-bool BlockStore::HasTransaction(const std::string& tx_id) const {
+bool BlockStore::HasTransaction(std::string_view tx_id) const {
   return tx_index_.count(tx_id) != 0;
 }
 
 std::optional<TxLocation> BlockStore::FindTransaction(
-    const std::string& tx_id) const {
+    std::string_view tx_id) const {
   auto it = tx_index_.find(tx_id);
   if (it == tx_index_.end()) return std::nullopt;
   return it->second;
+}
+
+std::vector<KeyModification> BlockStore::HistoryFor(
+    std::string_view ns, std::string_view key) const {
+  std::vector<KeyModification> out;
+  for (std::size_t b = 0; b < blocks_.size(); ++b) {
+    const proto::Block& block = *blocks_[b];
+    const std::vector<proto::ValidationCode>& codes = codes_[b];
+    for (std::size_t i = 0; i < block.transactions.size(); ++i) {
+      if (i < codes.size() && codes[i] != proto::ValidationCode::kValid) {
+        continue;
+      }
+      const auto& tx = block.transactions[i];
+      for (const auto& nsrw : tx.rwset.ns_rwsets) {
+        if (nsrw.ns != ns) continue;
+        for (const auto& w : nsrw.writes) {
+          if (w.key != key) continue;
+          out.push_back({block.header.number, static_cast<std::uint32_t>(i),
+                         tx.tx_id, w.is_delete, w.value});
+        }
+      }
+    }
+  }
+  return out;
 }
 
 }  // namespace fabricsim::ledger

@@ -2,20 +2,24 @@
 //
 // Mirrors Fabric's file-based block store: blocks are retrievable by number,
 // transactions by id, and the committer consults the tx-id index for
-// duplicate-transaction detection.
+// duplicate-transaction detection. Key history is read back from the stored
+// blocks and their validation codes, as Fabric's history database does (its
+// entries hold only block/tx coordinates).
 //
 // Retention: by default every block is kept (the real block store is disk-
 // backed and effectively unbounded, but here blocks live in RSS, which makes
 // million-transaction soak runs infeasible). SetRetention(n) keeps only the
 // newest n blocks in memory — older blocks and their tx-index entries are
-// pruned, so duplicate detection's horizon shrinks to the retained window.
-// That is safe whenever client resubmission of old tx ids is bounded (every
-// non-chaos run), and the soak bench relies on it for flat memory.
+// pruned, so duplicate detection's horizon and key history shrink to the
+// retained window. That is safe whenever client resubmission of old tx ids
+// is bounded (every non-chaos run), and the soak bench relies on it for flat
+// memory.
 #pragma once
 
 #include <deque>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -27,6 +31,15 @@ namespace fabricsim::ledger {
 struct TxLocation {
   std::uint64_t block_num = 0;
   std::uint32_t tx_index = 0;
+};
+
+/// One historical modification of a key.
+struct KeyModification {
+  std::uint64_t block_num = 0;
+  std::uint32_t tx_index = 0;
+  std::string tx_id;
+  bool is_delete = false;
+  proto::Bytes value;
 };
 
 class BlockStore {
@@ -62,18 +75,26 @@ class BlockStore {
 
   [[nodiscard]] proto::BlockPtr LastBlock() const;
 
-  /// True if a transaction with this id has been stored (valid or not —
-  /// Fabric records invalid transactions too and rejects id reuse). Under
-  /// retention, only transactions in resident blocks are visible.
-  [[nodiscard]] bool HasTransaction(const std::string& tx_id) const;
+  /// True if a resident block holds a transaction with this id (valid or
+  /// not — Fabric records invalid transactions too and rejects id reuse).
+  [[nodiscard]] bool HasTransaction(std::string_view tx_id) const;
 
+  /// The newest resident occurrence of a tx id: a resubmitted duplicate
+  /// shadows the original, so the id stays visible until the last block
+  /// holding it is pruned.
   [[nodiscard]] std::optional<TxLocation> FindTransaction(
-      const std::string& tx_id) const;
+      std::string_view tx_id) const;
 
   /// Validation codes recorded when block `number` was committed (empty for
   /// blocks appended without codes, e.g. on the orderer side, or pruned).
   [[nodiscard]] const std::vector<proto::ValidationCode>& CodesFor(
       std::uint64_t number) const;
+
+  /// Fabric's GetHistoryForKey over the resident blocks: the writes and
+  /// deletes of `key` in namespace `ns` by valid transactions (empty codes
+  /// count as valid), oldest first.
+  [[nodiscard]] std::vector<KeyModification> HistoryFor(
+      std::string_view ns, std::string_view key) const;
 
   /// Total transactions appended ever (pruned blocks included).
   [[nodiscard]] std::uint64_t TxCount() const { return total_txs_; }
@@ -87,7 +108,9 @@ class BlockStore {
 
   std::deque<proto::BlockPtr> blocks_;
   std::deque<std::vector<proto::ValidationCode>> codes_;
-  std::unordered_map<std::string, TxLocation> tx_index_;
+  // Keys view the tx ids inside the resident (shared, immutable) blocks;
+  // an entry is erased before the block its key views is popped.
+  std::unordered_map<std::string_view, TxLocation> tx_index_;
   std::uint64_t first_block_num_ = 0;
   std::uint64_t keep_blocks_ = 0;  // 0 = unbounded
   std::uint64_t total_txs_ = 0;

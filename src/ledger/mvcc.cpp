@@ -2,20 +2,24 @@
 
 #include <map>
 #include <optional>
+#include <string_view>
 
 namespace fabricsim::ledger {
 namespace {
 
 /// Pending view: committed state overlaid with writes from earlier valid
-/// transactions of the block being validated.
+/// transactions of the block being validated. Overlay keys view the block's
+/// own rwset strings, which outlive the view.
 class PendingView {
  public:
   explicit PendingView(const StateDb& state) : state_(state) {}
 
   [[nodiscard]] std::optional<proto::KeyVersion> GetVersion(
-      const std::string& ns, const std::string& key) const {
-    auto it = overlay_.find(StateDb::CompositeKey(ns, key));
-    if (it != overlay_.end()) return it->second;  // nullopt-like: see Apply
+      std::string_view ns, std::string_view key) const {
+    if (auto space = overlay_.find(ns); space != overlay_.end()) {
+      auto it = space->second.find(key);
+      if (it != space->second.end()) return it->second;  // see ApplyWrites
+    }
     return state_.GetVersion(ns, key);
   }
 
@@ -23,20 +27,19 @@ class PendingView {
   /// overlay: the (key, version) sequence a transaction validating now
   /// would observe. Used for phantom detection.
   [[nodiscard]] std::vector<std::pair<std::string, proto::KeyVersion>>
-  RangeVersions(const std::string& ns, const std::string& start_key,
-                const std::string& end_key) const {
+  RangeVersions(std::string_view ns, std::string_view start_key,
+                std::string_view end_key) const {
     std::map<std::string, std::optional<proto::KeyVersion>> merged;
     for (const auto& [key, value] : state_.GetRange(ns, start_key, end_key)) {
       merged[key] = value.version;
     }
     // Overlay entries within the namespace and range win.
-    const std::string prefix = StateDb::CompositeKey(ns, "");
-    for (const auto& [composite, version] : overlay_) {
-      if (composite.compare(0, prefix.size(), prefix) != 0) continue;
-      const std::string key = composite.substr(prefix.size());
-      if (key < start_key) continue;
-      if (!end_key.empty() && key >= end_key) continue;
-      merged[key] = version;  // nullopt = deleted in this block
+    if (auto space = overlay_.find(ns); space != overlay_.end()) {
+      for (const auto& [key, version] : space->second) {
+        if (key < start_key) continue;
+        if (!end_key.empty() && key >= end_key) continue;
+        merged[std::string(key)] = version;  // nullopt = deleted in this block
+      }
     }
     std::vector<std::pair<std::string, proto::KeyVersion>> out;
     out.reserve(merged.size());
@@ -49,8 +52,9 @@ class PendingView {
   void ApplyWrites(const proto::TxReadWriteSet& rwset,
                    proto::KeyVersion version) {
     for (const auto& ns : rwset.ns_rwsets) {
+      auto& space = overlay_[ns.ns];
       for (const auto& w : ns.writes) {
-        overlay_[StateDb::CompositeKey(ns.ns, w.key)] =
+        space[w.key] =
             w.is_delete ? std::optional<proto::KeyVersion>{} : version;
       }
     }
@@ -58,8 +62,11 @@ class PendingView {
 
  private:
   const StateDb& state_;
-  // Value nullopt == key deleted in this block.
-  std::unordered_map<std::string, std::optional<proto::KeyVersion>> overlay_;
+  // ns -> key -> version; nullopt == key deleted in this block.
+  std::unordered_map<
+      std::string_view,
+      std::unordered_map<std::string_view, std::optional<proto::KeyVersion>>>
+      overlay_;
 };
 
 }  // namespace

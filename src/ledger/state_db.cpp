@@ -4,85 +4,84 @@
 
 namespace fabricsim::ledger {
 
-std::string StateDb::CompositeKey(const std::string& ns,
-                                  const std::string& key) {
-  // The namespace length is encoded explicitly so that a NUL inside either
-  // component cannot make distinct (ns, key) pairs collide.
-  std::string out = std::to_string(ns.size());
-  out.reserve(out.size() + ns.size() + key.size() + 1);
-  out.push_back('\0');
-  out.append(ns);
-  out.append(key);
-  return out;
+const VersionedValue* StateDb::Find(std::string_view ns,
+                                    std::string_view key) const {
+  auto space = namespaces_.find(ns);
+  if (space == namespaces_.end()) return nullptr;
+  auto it = space->second.keys.find(key);
+  return it == space->second.keys.end() ? nullptr : &it->second;
 }
 
-std::optional<VersionedValue> StateDb::Get(const std::string& ns,
-                                           const std::string& key) const {
-  auto it = map_.find(CompositeKey(ns, key));
-  if (it == map_.end()) return std::nullopt;
-  return it->second;
+std::optional<VersionedValue> StateDb::Get(std::string_view ns,
+                                           std::string_view key) const {
+  const VersionedValue* vv = Find(ns, key);
+  if (vv == nullptr) return std::nullopt;
+  return *vv;
 }
 
 std::optional<proto::KeyVersion> StateDb::GetVersion(
-    const std::string& ns, const std::string& key) const {
-  auto it = map_.find(CompositeKey(ns, key));
-  if (it == map_.end()) return std::nullopt;
-  return it->second.version;
+    std::string_view ns, std::string_view key) const {
+  const VersionedValue* vv = Find(ns, key);
+  if (vv == nullptr) return std::nullopt;
+  return vv->version;
 }
 
-void StateDb::Put(const std::string& ns, const std::string& key,
-                  proto::Bytes value, proto::KeyVersion version) {
-  auto [it, inserted] =
-      map_.try_emplace(CompositeKey(ns, key), std::move(value), version);
+std::size_t StateDb::KeyCount() const {
+  std::size_t n = 0;
+  for (const auto& [ns, space] : namespaces_) n += space.keys.size();
+  return n;
+}
+
+void StateDb::PutIn(Namespace& space, const std::string& key,
+                    proto::Bytes value, proto::KeyVersion version) {
+  auto [it, inserted] = space.keys.try_emplace(key, std::move(value), version);
   if (!inserted) {
     // Overwrite: the key set is unchanged, the range index stays warm (it
     // holds a stable pointer to this node).
     it->second.value = std::move(value);
     it->second.version = version;
-  } else if (!range_index_.empty()) {
-    InvalidateRange(ns);
+  } else {
+    space.sorted_valid = false;
   }
 }
 
-void StateDb::Delete(const std::string& ns, const std::string& key) {
-  if (map_.erase(CompositeKey(ns, key)) != 0 && !range_index_.empty()) {
-    InvalidateRange(ns);
-  }
+void StateDb::DeleteIn(Namespace& space, std::string_view key) {
+  auto it = space.keys.find(key);
+  if (it == space.keys.end()) return;
+  space.keys.erase(it);
+  space.sorted_valid = false;
 }
 
-void StateDb::InvalidateRange(const std::string& ns) const {
-  auto it = range_index_.find(ns);
-  if (it != range_index_.end()) it->second.valid = false;
+void StateDb::Put(const std::string& ns, const std::string& key,
+                  proto::Bytes value, proto::KeyVersion version) {
+  PutIn(namespaces_[ns], key, std::move(value), version);
 }
 
-const StateDb::RangeIndex& StateDb::RangeFor(const std::string& ns) const {
-  RangeIndex& idx = range_index_[ns];
-  if (idx.valid) return idx;
-  idx.keys.clear();
-  const std::string prefix = CompositeKey(ns, "");
-  for (const auto& [composite, vv] : map_) {
-    if (composite.size() >= prefix.size() &&
-        composite.compare(0, prefix.size(), prefix) == 0) {
-      idx.keys.emplace_back(composite.substr(prefix.size()), &vv);
-    }
-  }
-  std::sort(idx.keys.begin(), idx.keys.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  idx.valid = true;
-  return idx;
+void StateDb::Delete(std::string_view ns, std::string_view key) {
+  auto space = namespaces_.find(ns);
+  if (space != namespaces_.end()) DeleteIn(space->second, key);
 }
 
 std::vector<std::pair<std::string, VersionedValue>> StateDb::GetRange(
-    const std::string& ns, const std::string& start_key,
-    const std::string& end_key) const {
+    std::string_view ns, std::string_view start_key,
+    std::string_view end_key) const {
   std::vector<std::pair<std::string, VersionedValue>> out;
-  const RangeIndex& idx = RangeFor(ns);
+  auto found = namespaces_.find(ns);
+  if (found == namespaces_.end()) return out;
+  const Namespace& space = found->second;
+  if (!space.sorted_valid) {
+    space.sorted.clear();
+    for (const auto& entry : space.keys) space.sorted.push_back(&entry);
+    std::sort(space.sorted.begin(), space.sorted.end(),
+              [](const auto* a, const auto* b) { return a->first < b->first; });
+    space.sorted_valid = true;
+  }
   auto it = std::lower_bound(
-      idx.keys.begin(), idx.keys.end(), start_key,
-      [](const auto& entry, const std::string& k) { return entry.first < k; });
-  for (; it != idx.keys.end(); ++it) {
-    if (!end_key.empty() && it->first >= end_key) break;
-    out.emplace_back(it->first, *it->second);
+      space.sorted.begin(), space.sorted.end(), start_key,
+      [](const auto* entry, std::string_view k) { return entry->first < k; });
+  for (; it != space.sorted.end(); ++it) {
+    if (!end_key.empty() && (*it)->first >= end_key) break;
+    out.emplace_back((*it)->first, (*it)->second);
   }
   return out;
 }
@@ -90,11 +89,12 @@ std::vector<std::pair<std::string, VersionedValue>> StateDb::GetRange(
 void StateDb::ApplyRwSet(const proto::TxReadWriteSet& rwset,
                          proto::KeyVersion version) {
   for (const auto& ns : rwset.ns_rwsets) {
+    Namespace& space = namespaces_[ns.ns];
     for (const auto& w : ns.writes) {
       if (w.is_delete) {
-        Delete(ns.ns, w.key);
+        DeleteIn(space, w.key);
       } else {
-        Put(ns.ns, w.key, w.value, version);
+        PutIn(space, w.key, w.value, version);
       }
     }
   }

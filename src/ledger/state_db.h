@@ -5,17 +5,19 @@
 // versions during simulation; the committer compares them during MVCC
 // validation and bumps them at commit.
 //
-// Storage is a hash map keyed by composite (ns, key): the hot path — point
-// reads in endorsement and MVCC, writes at commit — is O(1) instead of the
-// O(log n) string-compare walks a tree map costs. Ordered range scans
+// Storage is one hash map per namespace, each keyed by the bare key, with
+// string_view lookups: the hot path — point reads in endorsement and MVCC,
+// writes at commit — is O(1) and builds no key string. Ordered range scans
 // (GetStateByRange) are served by a per-namespace sorted key index built
 // lazily on first scan and invalidated only when the namespace's key *set*
 // changes (new key, delete); overwrites keep it warm.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -35,19 +37,19 @@ struct VersionedValue {
 class StateDb {
  public:
   /// Reads a key. Returns nullopt if absent (or deleted).
-  [[nodiscard]] std::optional<VersionedValue> Get(const std::string& ns,
-                                                  const std::string& key) const;
+  [[nodiscard]] std::optional<VersionedValue> Get(std::string_view ns,
+                                                  std::string_view key) const;
 
   /// Version-only read (what MVCC needs; cheaper than copying the value).
   [[nodiscard]] std::optional<proto::KeyVersion> GetVersion(
-      const std::string& ns, const std::string& key) const;
+      std::string_view ns, std::string_view key) const;
 
   /// Writes a key at `version`.
   void Put(const std::string& ns, const std::string& key, proto::Bytes value,
            proto::KeyVersion version);
 
   /// Deletes a key.
-  void Delete(const std::string& ns, const std::string& key);
+  void Delete(std::string_view ns, std::string_view key);
 
   /// Applies all writes of one transaction's rwset at `version`.
   void ApplyRwSet(const proto::TxReadWriteSet& rwset,
@@ -66,35 +68,45 @@ class StateDb {
   /// (an empty end_key means "to the end of the namespace"), with values
   /// and versions, in key order — Fabric's GetStateByRange.
   [[nodiscard]] std::vector<std::pair<std::string, VersionedValue>> GetRange(
-      const std::string& ns, const std::string& start_key,
-      const std::string& end_key) const;
+      std::string_view ns, std::string_view start_key,
+      std::string_view end_key) const;
 
   /// Number of live keys across all namespaces.
-  [[nodiscard]] std::size_t KeyCount() const { return map_.size(); }
+  [[nodiscard]] std::size_t KeyCount() const;
 
   /// Height of the last committed block (for recovery checks); updated by
   /// the committer via SetHeight.
   [[nodiscard]] std::uint64_t Height() const { return height_; }
   void SetHeight(std::uint64_t h) { height_ = h; }
 
-  /// Composite key helper (ns and key joined with an unambiguous separator).
-  static std::string CompositeKey(const std::string& ns,
-                                  const std::string& key);
-
  private:
-  // Sorted (key, entry) pairs of one namespace. Entry pointers stay valid
-  // across rehashes (unordered_map nodes are stable) and across overwrites;
-  // any key-set change invalidates the whole namespace index.
-  struct RangeIndex {
-    std::vector<std::pair<std::string, const VersionedValue*>> keys;
-    bool valid = false;
+  struct StringHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  template <typename V>
+  using StringMap = std::unordered_map<std::string, V, StringHash,
+                                       std::equal_to<>>;
+  using KeyMap = StringMap<VersionedValue>;
+
+  struct Namespace {
+    KeyMap keys;
+    // Key-order index for range scans. Entry pointers stay valid across
+    // rehashes (unordered_map nodes are stable) and across overwrites; any
+    // key-set change invalidates it.
+    mutable std::vector<const KeyMap::value_type*> sorted;
+    mutable bool sorted_valid = false;
   };
 
-  void InvalidateRange(const std::string& ns) const;
-  const RangeIndex& RangeFor(const std::string& ns) const;
+  [[nodiscard]] const VersionedValue* Find(std::string_view ns,
+                                           std::string_view key) const;
+  static void PutIn(Namespace& space, const std::string& key,
+                    proto::Bytes value, proto::KeyVersion version);
+  static void DeleteIn(Namespace& space, std::string_view key);
 
-  std::unordered_map<std::string, VersionedValue> map_;  // by composite key
-  mutable std::unordered_map<std::string, RangeIndex> range_index_;  // by ns
+  StringMap<Namespace> namespaces_;
   std::uint64_t height_ = 0;
 };
 

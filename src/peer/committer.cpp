@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <future>
+#include <string_view>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "crypto/signature.h"
@@ -379,18 +381,20 @@ void Committer::TrySerialCommit() {
 void Committer::SerialCommit(PendingBlock pb) {
   // Duplicate tx-id screening (Fabric flags later duplicates invalid).
   // The failpoint skips it so chaos tests can observe double commits.
-  std::vector<proto::ValidationCode> codes = pb.vscc_codes;
+  std::vector<proto::ValidationCode> codes = std::move(pb.vscc_codes);
   if (!dedup_disabled_) {
-    std::unordered_map<std::string, std::size_t> seen;
+    // Views into the shared immutable block, which outlives this call.
+    std::unordered_set<std::string_view> seen;
+    seen.reserve(pb.block->transactions.size());
     for (std::size_t i = 0; i < pb.block->transactions.size(); ++i) {
-      const auto& id = pb.block->transactions[i].tx_id;
-      if (chain_.Store().HasTransaction(id) || seen.count(id) != 0) {
+      const std::string_view id = pb.block->transactions[i].tx_id;
+      const bool repeated = !seen.insert(id).second;
+      if (repeated || chain_.Store().HasTransaction(id)) {
         if (codes[i] == proto::ValidationCode::kValid) {
           codes[i] = proto::ValidationCode::kDuplicateTxId;
           ++duplicate_tx_rejects_;
         }
       }
-      seen.emplace(id, i);
     }
   }
 
@@ -418,7 +422,6 @@ void Committer::SerialCommit(PendingBlock pb) {
   } else {
     ledger::MvccValidator::Commit(*pb.block, mvcc.codes, state_);
   }
-  history_.IndexBlock(*pb.block, mvcc.codes);
 
   for (std::size_t i = 0; i < pb.block->transactions.size(); ++i) {
     if (mvcc.codes[i] == proto::ValidationCode::kValid) {

@@ -21,7 +21,6 @@
 #include "fabric/calibration.h"
 #include "fabric/optimizations.h"
 #include "ledger/blockchain.h"
-#include "ledger/history_index.h"
 #include "ledger/mvcc.h"
 #include "ledger/state_db.h"
 #include "metrics/phase_stats.h"
@@ -106,13 +105,10 @@ class Committer {
   }
 
   /// Applies ledger retention for bounded-memory soak runs: keep only the
-  /// newest `keep_blocks` blocks resident (0 = all) and the newest
-  /// `history_per_key` modifications per key (0 = all). See
+  /// newest `keep_blocks` blocks resident (0 = all). See
   /// ledger::BlockStore::SetRetention for the dedup-horizon caveat.
-  void SetLedgerRetention(std::uint64_t keep_blocks,
-                          std::size_t history_per_key) {
+  void SetLedgerRetention(std::uint64_t keep_blocks) {
     chain_.MutableStore().SetRetention(keep_blocks);
-    history_.SetPerKeyCap(history_per_key);
   }
 
   /// Blocks currently in VSCC or awaiting serial commit.
@@ -169,7 +165,6 @@ class Committer {
   [[nodiscard]] ledger::Blockchain& MutableChainForTest() { return chain_; }
   [[nodiscard]] const ledger::StateDb& State() const { return state_; }
   [[nodiscard]] ledger::StateDb& MutableState() { return state_; }
-  [[nodiscard]] const ledger::HistoryIndex& History() const { return history_; }
   [[nodiscard]] std::uint64_t CommittedTx() const { return committed_tx_; }
   [[nodiscard]] std::uint64_t InvalidTx() const { return invalid_tx_; }
 
@@ -243,7 +238,6 @@ class Committer {
 
   ledger::Blockchain chain_;
   ledger::StateDb state_;
-  ledger::HistoryIndex history_;
 
   // Blocks by number: received, undergoing VSCC, awaiting serial commit.
   std::map<std::uint64_t, PendingBlock> pending_;

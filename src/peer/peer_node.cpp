@@ -46,7 +46,7 @@ void PeerNode::JoinChannel(const std::string& channel_id) {
   auto ledger = std::make_unique<ChannelLedger>(*this, channel_id);
   ledger->committer->SetMaxPipelineBlocks(committer_pipeline_limit_);
   ledger->committer->SetDedupDisabled(committer_dedup_disabled_);
-  ledger->committer->SetLedgerRetention(retain_blocks_, history_per_key_);
+  ledger->committer->SetLedgerRetention(retain_blocks_);
   if (optimizations_.Any()) {
     ledger->committer->SetOptimizations(optimizations_);
   }
@@ -456,12 +456,10 @@ void PeerNode::SetCommitterDedupDisabled(bool disabled) {
   }
 }
 
-void PeerNode::SetLedgerRetention(std::uint64_t keep_blocks,
-                                  std::size_t history_per_key) {
+void PeerNode::SetLedgerRetention(std::uint64_t keep_blocks) {
   retain_blocks_ = keep_blocks;
-  history_per_key_ = history_per_key;
   for (auto& [id, ledger] : channels_) {
-    ledger->committer->SetLedgerRetention(keep_blocks, history_per_key);
+    ledger->committer->SetLedgerRetention(keep_blocks);
   }
 }
 

@@ -307,8 +307,7 @@ TEST(Integration, InvalidTransactionsRecordedOnChainButNotInState) {
   EXPECT_EQ(store.TxCount(), 7u);  // genesis + all six recorded, valid or not
   EXPECT_GT(committer.InvalidTx(), 0u);
   // History only contains the winners.
-  const auto& history =
-      committer.History().HistoryFor("kvwrite", "contested");
+  const auto history = store.HistoryFor("kvwrite", "contested");
   EXPECT_EQ(history.size(), committer.CommittedTx());
 }
 

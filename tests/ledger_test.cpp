@@ -3,7 +3,6 @@
 #include "crypto/ca.h"
 #include "ledger/block_store.h"
 #include "ledger/blockchain.h"
-#include "ledger/history_index.h"
 #include "ledger/mvcc.h"
 #include "ledger/state_db.h"
 
@@ -275,35 +274,119 @@ TEST(Blockchain, AuditDetectsDeepTampering) {
   EXPECT_EQ(audit.bad_block, 0u);
 }
 
-// ------------------------------------------------------------ HistoryIndex
+// ----------------------------------------------- BlockStore key history
 
-TEST(HistoryIndex, TracksValidWritesOnly) {
-  HistoryIndex idx;
-  auto block = MakeBlock(3, nullptr,
-                         {TxRW("t1", {}, {"k"}), TxRW("t2", {}, {"k"})});
-  idx.IndexBlock(*block, {ValidationCode::kValid,
-                          ValidationCode::kMvccReadConflict});
-  const auto& hist = idx.HistoryFor("cc", "k");
+TEST(BlockStore, HistoryTracksValidWritesOnly) {
+  BlockStore store;
+  store.Append(MakeBlock(0, nullptr,
+                         {TxRW("t1", {}, {"k"}), TxRW("t2", {}, {"k"})}),
+               {ValidationCode::kValid, ValidationCode::kMvccReadConflict});
+  const auto hist = store.HistoryFor("cc", "k");
   ASSERT_EQ(hist.size(), 1u);
   EXPECT_EQ(hist[0].tx_id, "t1");
-  EXPECT_EQ(hist[0].block_num, 3u);
+  EXPECT_EQ(hist[0].block_num, 0u);
+  EXPECT_EQ(hist[0].tx_index, 0u);
+  EXPECT_FALSE(hist[0].is_delete);
+  EXPECT_EQ(proto::ToString(hist[0].value), "v");
 }
 
-TEST(HistoryIndex, ChronologicalAcrossBlocks) {
-  HistoryIndex idx;
-  auto b0 = MakeBlock(0, nullptr, {TxRW("t1", {}, {"k"})});
-  auto b1 = MakeBlock(1, nullptr, {TxRW("t2", {}, {"k"})});
-  idx.IndexBlock(*b0, {ValidationCode::kValid});
-  idx.IndexBlock(*b1, {ValidationCode::kValid});
-  const auto& hist = idx.HistoryFor("cc", "k");
+TEST(BlockStore, HistoryChronologicalAcrossBlocks) {
+  BlockStore store;
+  store.Append(MakeBlock(0, nullptr, {TxRW("t1", {}, {"k"})}),
+               {ValidationCode::kValid});
+  store.Append(MakeBlock(1, nullptr, {TxRW("t2", {}, {"k"})}),
+               {ValidationCode::kValid});
+  const auto hist = store.HistoryFor("cc", "k");
   ASSERT_EQ(hist.size(), 2u);
   EXPECT_EQ(hist[0].tx_id, "t1");
   EXPECT_EQ(hist[1].tx_id, "t2");
+  EXPECT_EQ(hist[1].block_num, 1u);
 }
 
-TEST(HistoryIndex, UnknownKeyEmpty) {
-  HistoryIndex idx;
-  EXPECT_TRUE(idx.HistoryFor("cc", "never").empty());
+TEST(BlockStore, HistoryUnknownKeyEmpty) {
+  BlockStore store;
+  EXPECT_TRUE(store.HistoryFor("cc", "never").empty());
+  store.Append(MakeBlock(0, nullptr, {TxRW("t1", {}, {"k"})}));
+  EXPECT_TRUE(store.HistoryFor("cc", "never").empty());
+  EXPECT_TRUE(store.HistoryFor("other", "k").empty());
+}
+
+TEST(BlockStore, HistoryRecordsDeletesAndTreatsEmptyCodesAsValid) {
+  BlockStore store;
+  proto::TransactionEnvelope del = TxRW("t2", {}, {});
+  del.rwset.ns_rwsets[0].writes.push_back(proto::KVWrite{"k", {}, true});
+  // Appended without codes, as the orderer side does: every tx counts.
+  store.Append(MakeBlock(0, nullptr, {TxRW("t1", {}, {"k"}), del}));
+  const auto hist = store.HistoryFor("cc", "k");
+  ASSERT_EQ(hist.size(), 2u);
+  EXPECT_FALSE(hist[0].is_delete);
+  EXPECT_TRUE(hist[1].is_delete);
+  EXPECT_EQ(hist[1].tx_id, "t2");
+  EXPECT_EQ(hist[1].tx_index, 1u);
+}
+
+TEST(BlockStore, HistoryLimitedToRetainedBlocks) {
+  BlockStore store;
+  store.SetRetention(2);
+  for (std::uint64_t n = 0; n < 4; ++n) {
+    const std::string id = "t" + std::to_string(n);
+    store.Append(MakeBlock(n, nullptr, {TxRW(id, {}, {"k"})}),
+                 {ValidationCode::kValid});
+  }
+  const auto hist = store.HistoryFor("cc", "k");
+  ASSERT_EQ(hist.size(), 2u);
+  EXPECT_EQ(hist[0].tx_id, "t2");
+  EXPECT_EQ(hist[0].block_num, 2u);
+  EXPECT_EQ(hist[1].tx_id, "t3");
+}
+
+// ------------------------------------------------- BlockStore retention
+
+TEST(BlockStore, RetentionPrunesOldestBlocks) {
+  BlockStore store;
+  store.SetRetention(2);
+  std::vector<proto::BlockPtr> blocks;
+  for (std::uint64_t n = 0; n < 3; ++n) {
+    blocks.push_back(
+        MakeBlock(n, nullptr, {TxRW("t" + std::to_string(n), {}, {"a"})}));
+    store.Append(blocks.back(), {ValidationCode::kValid});
+  }
+  EXPECT_EQ(store.Height(), 3u);
+  EXPECT_EQ(store.FirstBlockNumber(), 1u);
+  EXPECT_EQ(store.ResidentBlocks(), 2u);
+  EXPECT_EQ(store.TxCount(), 3u);
+  EXPECT_EQ(store.GetBlock(0), nullptr);
+  EXPECT_TRUE(store.CodesFor(0).empty());
+  EXPECT_EQ(store.GetBlock(1), blocks[1]);
+  EXPECT_EQ(store.CodesFor(2).size(), 1u);
+  EXPECT_EQ(store.LastBlock(), blocks[2]);
+  EXPECT_FALSE(store.HasTransaction("t0"));
+  EXPECT_FALSE(store.FindTransaction("t0").has_value());
+  const auto loc = store.FindTransaction("t2");
+  ASSERT_TRUE(loc.has_value());
+  EXPECT_EQ(loc->block_num, 2u);
+}
+
+TEST(BlockStore, RepeatedTxIdStaysVisibleWhileAnyHoldingBlockIsResident) {
+  BlockStore store;
+  store.SetRetention(2);
+  store.Append(MakeBlock(0, nullptr, {TxRW("X", {}, {"a"})}),
+               {ValidationCode::kValid});
+  store.Append(MakeBlock(1, nullptr, {TxRW("X", {}, {"a"})}),
+               {ValidationCode::kDuplicateTxId});
+  store.Append(MakeBlock(2, nullptr, {TxRW("Y", {}, {"a"})}),
+               {ValidationCode::kValid});
+  // Block 0 is pruned, but block 1 still holds X: a third submission must
+  // still be screened as a duplicate.
+  EXPECT_TRUE(store.HasTransaction("X"));
+  const auto loc = store.FindTransaction("X");
+  ASSERT_TRUE(loc.has_value());
+  EXPECT_EQ(loc->block_num, 1u);
+
+  store.Append(MakeBlock(3, nullptr, {TxRW("Z", {}, {"a"})}),
+               {ValidationCode::kValid});
+  EXPECT_FALSE(store.HasTransaction("X"));
+  EXPECT_TRUE(store.HasTransaction("Y"));
 }
 
 }  // namespace
