@@ -111,8 +111,8 @@ inline void PrintUsage(std::ostream& os, const std::string& bench_name) {
 }
 
 /// Parses the shared bench flags. Exits 2 with usage on an unknown flag, a
-/// missing value, or a non-integer count; exits 0 after printing usage on
-/// --help.
+/// missing value, a non-integer count, or a sampling period <= 0; exits 0
+/// after printing usage on --help.
 inline Args ParseArgs(int argc, char** argv, const std::string& bench_name) {
   Args out;
   const auto fail = [&](const std::string& msg) {
@@ -157,7 +157,8 @@ inline Args ParseArgs(int argc, char** argv, const std::string& bench_name) {
     } else if (a == "--metrics-out") {
       out.metrics_out = value();
     } else if (a == "--metrics-period-ms") {
-      out.metrics_period_ms = std::max(1, number());
+      out.metrics_period_ms = number();
+      if (out.metrics_period_ms <= 0) fail("--metrics-period-ms must be > 0");
     } else if (a == "--reps") {
       out.reps = std::max(1, number());
     } else if (a == "--jobs") {

@@ -1,11 +1,11 @@
 #include "fabric/experiment.h"
 
 #include <string_view>
+#include <utility>
 
 #include "crypto/sha256.h"
 #include "crypto/verify_cache.h"
 #include "metrics/registry.h"
-#include "obs/telemetry.h"
 #include "obs/trace.h"
 
 namespace fabricsim::fabric {
@@ -37,78 +37,80 @@ std::vector<obs::ResourceUsage> CollectUsage(FabricNetwork& net,
   return usage;
 }
 
-/// Wires the standard instrument set into `reg`: queue depths and
-/// high-watermarks, cumulative sheds, scheduler backlog, verify-cache
-/// traffic, and tracker occupancy. All closures point into `net`, so the
+/// Sampling cadence of the `ExperimentConfig::telemetry` attach point.
+constexpr sim::SimDuration kTelemetryPeriod = sim::FromMillis(100);
+
+/// Wires the standard instrument set into `reg`: scheduler backlog, queue
+/// depths and high-watermarks, cumulative sheds, defense counters, tracker
+/// occupancy, verify-cache traffic, per-station busy cores and queue length,
+/// and network bytes in flight. All closures point into `net`, so the
 /// caller must DropInstruments() before the network dies.
-void WireRegistry(metrics::Registry& reg, FabricNetwork& net) {
+void WireInstruments(metrics::Registry& reg, FabricNetwork& net) {
+  const auto gauge = [&reg](const std::string& name, auto read) {
+    reg.AddGauge(name, [read] { return static_cast<double>(read()); });
+  };
   sim::Scheduler* sched = &net.Env().Sched();
-  reg.AddGauge("scheduler.pending_events", [sched] {
-    return static_cast<double>(sched->PendingEvents());
-  });
-  reg.AddGauge("scheduler.executed_events", [sched] {
-    return static_cast<double>(sched->ExecutedEvents());
-  });
+  gauge("scheduler.pending_events", [sched] { return sched->PendingEvents(); });
+  gauge("scheduler.executed_events",
+        [sched] { return sched->ExecutedEvents(); });
   for (int c = 0; c < net.ChannelCount(); ++c) {
     const auto osns = net.Osns(c);
     for (std::size_t i = 0; i < osns.size(); ++i) {
       const std::string prefix =
           "osn" + std::to_string(i) + "." + net.ChannelId(c) + ".";
       ordering::OsnBase* osn = osns[i];
-      reg.AddGauge(prefix + "ingress_depth", [osn] {
-        return static_cast<double>(osn->IngressDepth());
-      });
-      reg.AddGauge(prefix + "ingress_depth_hwm", [osn] {
-        return static_cast<double>(osn->IngressDepthHighWatermark());
-      });
-      reg.AddGauge(prefix + "ingress_shed", [osn] {
-        return static_cast<double>(osn->IngressShed());
-      });
+      gauge(prefix + "ingress_depth", [osn] { return osn->IngressDepth(); });
+      // High watermark alongside the instantaneous depth: a coarse sampling
+      // cadence misses bursts; the watermark never does.
+      gauge(prefix + "ingress_depth_hwm",
+            [osn] { return osn->IngressDepthHighWatermark(); });
+      gauge(prefix + "ingress_shed", [osn] { return osn->IngressShed(); });
     }
   }
   for (std::size_t i = 0; i < net.PeerCount(); ++i) {
     peer::PeerNode* p = &net.Peer(i);
     if (!p->IsEndorsing()) continue;
     const std::string prefix = "peer" + std::to_string(i) + ".";
-    reg.AddGauge(prefix + "endorse_depth", [p] {
-      return static_cast<double>(p->EndorseDepth());
-    });
-    reg.AddGauge(prefix + "endorse_depth_hwm", [p] {
-      return static_cast<double>(p->EndorseDepthHighWatermark());
-    });
-    reg.AddGauge(prefix + "endorse_shed", [p] {
-      return static_cast<double>(p->EndorseShed());
-    });
+    gauge(prefix + "endorse_depth", [p] { return p->EndorseDepth(); });
+    gauge(prefix + "endorse_depth_hwm",
+          [p] { return p->EndorseDepthHighWatermark(); });
+    gauge(prefix + "endorse_shed", [p] { return p->EndorseShed(); });
   }
   peer::PeerNode* validator = &net.ValidatorPeer();
-  reg.AddGauge("validator.deferred_blocks", [validator] {
-    return static_cast<double>(validator->GetCommitter().DeferredBlocks());
-  });
+  gauge("validator.deferred_blocks",
+        [validator] { return validator->GetCommitter().DeferredBlocks(); });
   // Byzantine-defense counters (flat zero on honest runs).
-  reg.AddGauge("validator.rejected_blocks", [validator] {
-    return static_cast<double>(validator->GetCommitter().RejectedBlocks());
+  gauge("validator.rejected_blocks",
+        [validator] { return validator->GetCommitter().RejectedBlocks(); });
+  gauge("validator.duplicate_tx_rejects", [validator] {
+    return validator->GetCommitter().DuplicateTxRejects();
   });
-  reg.AddGauge("validator.duplicate_tx_rejects", [validator] {
-    return static_cast<double>(validator->GetCommitter().DuplicateTxRejects());
-  });
-  reg.AddGauge("validator.byz_quarantines", [validator] {
-    return static_cast<double>(validator->ByzantineQuarantines());
-  });
+  gauge("validator.byz_quarantines",
+        [validator] { return validator->ByzantineQuarantines(); });
   metrics::TxTracker* tracker = &net.Tracker();
-  reg.AddGauge("tracker.inflight_records", [tracker] {
-    return static_cast<double>(tracker->TxCount());
-  });
-  reg.AddGauge("tracker.retired_records", [tracker] {
-    return static_cast<double>(tracker->RetiredCount());
-  });
+  gauge("tracker.inflight_records", [tracker] { return tracker->TxCount(); });
+  gauge("tracker.retired_records",
+        [tracker] { return tracker->RetiredCount(); });
   // Host-side (thread-interleaving-dependent under parallel sweeps), but the
   // timeline is exposition-only — never compared by the regression gate.
-  reg.AddGauge("verify_cache.hits", [] {
-    return static_cast<double>(crypto::VerifyCache::Instance().Hits());
-  });
-  reg.AddGauge("verify_cache.misses", [] {
-    return static_cast<double>(crypto::VerifyCache::Instance().Misses());
-  });
+  gauge("verify_cache.hits",
+        [] { return crypto::VerifyCache::Instance().Hits(); });
+  gauge("verify_cache.misses",
+        [] { return crypto::VerifyCache::Instance().Misses(); });
+  // Resource use per CPU station, as `dstat` would show it per machine.
+  const auto station = [&gauge](const std::string& name, const sim::Cpu* cpu) {
+    gauge(name + ".busy_cores", [cpu] { return cpu->BusyCores(); });
+    gauge(name + ".queue_len", [cpu] { return cpu->QueueLength(); });
+  };
+  sim::Environment& env = net.Env();
+  for (std::size_t i = 0; i < env.MachineCount(); ++i) {
+    sim::Machine& m = env.MachineAt(i);
+    station(m.Name(), &m.GetCpu());
+  }
+  station("validator disk", &validator->Disk());
+  const sim::Network* network = &env.Net();
+  gauge("network.bytes_in_flight",
+        [network] { return network->BytesInFlight(); });
 }
 
 }  // namespace
@@ -166,57 +168,16 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   injector.Arm();
   net.Start();
 
-  if (config.registry != nullptr) {
-    config.registry->Reset();
-    WireRegistry(*config.registry, net);
-    config.registry->StartSampling(net.Env().Sched(), config.metrics_period);
-  }
-
-  if (config.telemetry != nullptr) {
-    config.telemetry->Monitor(net.Env());
-    config.telemetry->AddCpu("validator disk", &net.ValidatorPeer().Disk());
-    if (net_options.overload.enabled) {
-      // Overload gauges: per-OSN ingress depth / cumulative sheds, the
-      // endorser ingress, and the validator's deferred-block backlog.
-      for (int c = 0; c < net.ChannelCount(); ++c) {
-        const auto osns = net.Osns(c);
-        for (std::size_t i = 0; i < osns.size(); ++i) {
-          const std::string name =
-              "osn" + std::to_string(i) + "/" + net.ChannelId(c);
-          ordering::OsnBase* osn = osns[i];
-          config.telemetry->AddGauge(name, "ingress_depth", [osn] {
-            return static_cast<double>(osn->IngressDepth());
-          });
-          // High watermark alongside the instantaneous depth: a 250 ms
-          // sampling cadence misses bursts; the watermark never does.
-          config.telemetry->AddGauge(name, "ingress_depth_hwm", [osn] {
-            return static_cast<double>(osn->IngressDepthHighWatermark());
-          });
-          config.telemetry->AddGauge(name, "ingress_shed", [osn] {
-            return static_cast<double>(osn->IngressShed());
-          });
-        }
-      }
-      for (std::size_t i = 0; i < net.PeerCount(); ++i) {
-        peer::PeerNode* p = &net.Peer(i);
-        if (!p->IsEndorsing()) continue;
-        const std::string name = "peer" + std::to_string(i);
-        config.telemetry->AddGauge(name, "endorse_depth", [p] {
-          return static_cast<double>(p->EndorseDepth());
-        });
-        config.telemetry->AddGauge(name, "endorse_depth_hwm", [p] {
-          return static_cast<double>(p->EndorseDepthHighWatermark());
-        });
-        config.telemetry->AddGauge(name, "endorse_shed", [p] {
-          return static_cast<double>(p->EndorseShed());
-        });
-      }
-      peer::PeerNode* validator = &net.ValidatorPeer();
-      config.telemetry->AddGauge("validator", "deferred_blocks", [validator] {
-        return static_cast<double>(validator->GetCommitter().DeferredBlocks());
-      });
-    }
-    config.telemetry->Start(net.Env().Sched());
+  // Both attach points share one lifecycle: Reset → wire → sample → final
+  // sample → DropInstruments (below, before `net` dies).
+  const std::pair<metrics::Registry*, sim::SimDuration> samplers[] = {
+      {config.registry, config.metrics_period},
+      {config.telemetry, kTelemetryPeriod}};
+  for (const auto& [reg, period] : samplers) {
+    if (reg == nullptr) continue;
+    reg->Reset();
+    WireInstruments(*reg, net);
+    reg->StartSampling(net.Env().Sched(), period);
   }
 
   // The workload opens after the warm-up and runs through the window.
@@ -226,10 +187,14 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   controller.Start();
 
   net.Env().Sched().RunUntil(window_end + config.drain);
-  if (config.telemetry != nullptr) config.telemetry->Stop();
-  if (config.registry != nullptr) {
-    config.registry->StopSampling();
-    config.registry->SampleNow(net.Env().Sched().Now());
+  const sim::SimTime end = net.Env().Sched().Now();
+  for (const auto& [reg, period] : samplers) {
+    if (reg == nullptr) continue;
+    reg->StopSampling();
+    // The tail after the last tick, unless a tick landed on the end itself.
+    if (reg->Snapshots().empty() || reg->Snapshots().back().t != end) {
+      reg->SampleNow(end);
+    }
   }
 
   ExperimentResult out;
@@ -302,9 +267,11 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     net.Env().Sched().SetProfiler(nullptr);
     out.profile = profiler->Report();
   }
-  // The registry keeps its names + timeline; the closures point into `net`,
-  // which dies when this frame returns.
-  if (config.registry != nullptr) config.registry->DropInstruments();
+  // The registries keep their names + timelines; the closures point into
+  // `net`, which dies when this frame returns.
+  for (const auto& [reg, period] : samplers) {
+    if (reg != nullptr) reg->DropInstruments();
+  }
   return out;
 }
 

@@ -1,5 +1,6 @@
 #include "metrics/registry.h"
 
+#include <cctype>
 #include <ostream>
 #include <utility>
 
@@ -128,13 +129,46 @@ void Registry::WritePrometheus(std::ostream& os) const {
   for (std::size_t i = 0; i < names_.size(); ++i) {
     std::string name = "fabricsim_" + names_[i];
     for (char& c : name) {
-      if (c == '.' || c == '/' || c == '-') c = '_';
+      if (std::isalnum(static_cast<unsigned char>(c)) == 0 && c != '_' &&
+          c != ':') {
+        c = '_';
+      }
     }
     os << "# TYPE " << name << " gauge\n";
     for (const MetricsSnapshot& s : snapshots_) {
+      if (i >= s.values.size()) continue;  // series added after this sample
       os << name << ' ' << s.values[i] << ' '
          << static_cast<long long>(sim::ToSeconds(s.t) * 1e3) << '\n';
     }
+  }
+}
+
+std::vector<LongSample> Registry::Samples() const {
+  std::vector<std::pair<std::string, std::string>> split;
+  split.reserve(names_.size());
+  for (const std::string& name : names_) {
+    const std::size_t dot = name.rfind('.');
+    if (dot == std::string::npos) {
+      split.emplace_back("", name);
+    } else {
+      split.emplace_back(name.substr(0, dot), name.substr(dot + 1));
+    }
+  }
+  std::vector<LongSample> rows;
+  rows.reserve(snapshots_.size() * names_.size());
+  for (const MetricsSnapshot& s : snapshots_) {
+    for (std::size_t i = 0; i < s.values.size(); ++i) {
+      rows.push_back({s.t, split[i].first, split[i].second, s.values[i]});
+    }
+  }
+  return rows;
+}
+
+void Registry::WriteCsv(std::ostream& os) const {
+  os << "time_s,resource,metric,value\n";
+  for (const LongSample& s : Samples()) {
+    os << sim::ToSeconds(s.t) << ',' << s.resource << ',' << s.metric << ','
+       << s.value << '\n';
   }
 }
 

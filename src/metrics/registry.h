@@ -1,17 +1,23 @@
 // Metrics registry: named counters/gauges/histograms with periodic sim-time
-// snapshotting — the simulated analogue of a Prometheus scrape loop.
+// snapshotting — the simulated analogue of a Prometheus scrape loop, and of
+// running `dstat`/`sar` on every testbed machine while load runs, which is
+// how the paper located saturated resources.
 //
 // Components register instruments once (O(1) per registration), the registry
 // samples every instrument on a fixed simulated cadence, and the resulting
-// time series exports as JSON or Prometheus text exposition. Sampling rides
-// the scheduler's *observer* events, so attaching a registry never changes
-// ExecutedEvents() or any simulated result — the bench regression gate stays
-// bit-exact with or without `--metrics-out`.
+// time series exports three ways: JSON, Prometheus text exposition, and a
+// long-format `time_s,resource,metric,value` CSV. Series are named
+// `<resource>.<metric>`; the long format splits each name at its last `.`,
+// so metric names never contain one. Sampling rides the scheduler's
+// *observer* events, so attaching a registry never changes ExecutedEvents()
+// or any simulated result — the bench regression gate stays bit-exact with
+// or without `--metrics-out`.
 //
 // Lifecycle per experiment run: Reset() → register instruments (they capture
-// pointers into the live network) → StartSampling() → run → StopSampling() →
-// DropInstruments() (the network is about to die; keep only names + data).
-// The experiment runner does all of this when a registry is attached.
+// pointers into the live network) → StartSampling() → run → StopSampling()
+// and a final SampleNow() → DropInstruments() (the network is about to die;
+// keep only names + data). The experiment runner does all of this for each
+// registry attached, as `ExperimentConfig::registry` or `::telemetry`.
 #pragma once
 
 #include <cstdint>
@@ -44,6 +50,15 @@ class Counter {
 struct MetricsSnapshot {
   sim::SimTime t = 0;
   std::vector<double> values;
+};
+
+/// One row of the long-format view: a series name split at its last `.`
+/// (no dot: empty resource).
+struct LongSample {
+  sim::SimTime t = 0;
+  std::string resource;  // machine or station name, "network", "scheduler"…
+  std::string metric;    // busy_cores | queue_len | bytes_in_flight | …
+  double value = 0.0;
 };
 
 class Registry {
@@ -85,6 +100,9 @@ class Registry {
     return snapshots_;
   }
 
+  /// The snapshots in long format, one row per (sample, series).
+  [[nodiscard]] std::vector<LongSample> Samples() const;
+
   /// Drops every instrument (closures, counter storage) but keeps series
   /// names and collected snapshots, so the timeline outlives the simulated
   /// network the instruments pointed into.
@@ -97,9 +115,13 @@ class Registry {
   void WriteJson(std::ostream& os) const;
 
   /// Prometheus text exposition, one line per (series, sample) with
-  /// millisecond simulated timestamps. Dots in series names become
-  /// underscores to satisfy the metric-name grammar.
+  /// millisecond simulated timestamps. Every character outside
+  /// `[A-Za-z0-9_:]` becomes an underscore to satisfy the metric-name
+  /// grammar.
   void WritePrometheus(std::ostream& os) const;
+
+  /// `time_s,resource,metric,value` rows (the Samples() view) with a header.
+  void WriteCsv(std::ostream& os) const;
 
  private:
   // One sampled column; exactly one of counter/gauge is set.

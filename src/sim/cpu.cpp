@@ -21,8 +21,7 @@ SimDuration Cpu::ScaledCost(SimDuration cost) const {
 }
 
 void Cpu::Submit(SimDuration cost, Completion done, bool high_priority) {
-  Job job{cost < 0 ? 0 : cost, std::move(done), sched_.Now()};
-  if (observer_) observer_->OnJobSubmitted(*this);
+  Job job{cost < 0 ? 0 : cost, std::move(done)};
   if (busy_cores_ < cores_) {
     StartJob(std::move(job));
   } else if (high_priority) {
@@ -48,17 +47,15 @@ void Cpu::StartJob(Job job) {
   } else {
     marks_.back().busy = busy_cores_;
   }
-  if (observer_) observer_->OnJobStarted(*this, sched_.Now() - job.enqueued_at);
-  const SimDuration scaled = ScaledCost(job.cost);
   sched_.ScheduleAfter(
-      scaled,
-      [this, done = std::move(job.done), scaled]() mutable {
-        OnJobDone(std::move(done), scaled);
+      ScaledCost(job.cost),
+      [this, done = std::move(job.done)]() mutable {
+        OnJobDone(std::move(done));
       },
       "cpu/job_done");
 }
 
-void Cpu::OnJobDone(Completion done, SimDuration service) {
+void Cpu::OnJobDone(Completion done) {
   AccrueBusyTime();
   --busy_cores_;
   if (bounded_marks_) {
@@ -68,7 +65,6 @@ void Cpu::OnJobDone(Completion done, SimDuration service) {
     marks_.back().busy = busy_cores_;
   }
   ++completed_;
-  if (observer_) observer_->OnJobFinished(*this, service);
   // Start the next queued job before running the completion so that a
   // completion which submits new work queues behind already-waiting jobs.
   if (!high_queue_.empty()) {

@@ -18,29 +18,6 @@
 
 namespace fabricsim::sim {
 
-class Cpu;
-
-/// Observer hook for per-job telemetry. The CPU stays ignorant of who is
-/// listening (the obs layer registers itself); all callbacks fire
-/// synchronously inside the CPU's own bookkeeping, so observers must not
-/// submit work from them.
-class CpuObserver {
- public:
-  virtual ~CpuObserver() = default;
-  /// A job entered the queue or went straight to a core.
-  virtual void OnJobSubmitted(const Cpu& cpu) { (void)cpu; }
-  /// A job left the queue for a core after waiting `queued` ns.
-  virtual void OnJobStarted(const Cpu& cpu, SimDuration queued) {
-    (void)cpu;
-    (void)queued;
-  }
-  /// A job finished after `service` ns of core time (speed-scaled).
-  virtual void OnJobFinished(const Cpu& cpu, SimDuration service) {
-    (void)cpu;
-    (void)service;
-  }
-};
-
 /// A multi-core FIFO CPU station attached to a scheduler.
 class Cpu {
  public:
@@ -99,9 +76,6 @@ class Cpu {
   /// Total jobs completed.
   [[nodiscard]] std::uint64_t CompletedJobs() const { return completed_; }
 
-  /// Registers (or clears, with nullptr) the telemetry observer.
-  void SetObserver(CpuObserver* observer) { observer_ = observer; }
-
   /// Bounded-memory mode: stop recording the busy-core transition history
   /// (two marks per job, forever — the one per-job allocation left once the
   /// TxTracker streams). Running totals (BusyTime(), Utilization() to now,
@@ -116,7 +90,6 @@ class Cpu {
   struct Job {
     SimDuration cost;
     Completion done;
-    SimTime enqueued_at = 0;
   };
   /// One busy-core transition: cumulative busy time up to `t`, and the
   /// number of busy cores from `t` onward.
@@ -127,7 +100,7 @@ class Cpu {
   };
 
   void StartJob(Job job);
-  void OnJobDone(Completion done, SimDuration service);
+  void OnJobDone(Completion done);
   void AccrueBusyTime();
 
   Scheduler& sched_;
@@ -137,7 +110,6 @@ class Cpu {
   std::uint64_t completed_ = 0;
   std::deque<Job> queue_;
   std::deque<Job> high_queue_;
-  CpuObserver* observer_ = nullptr;
 
   // Busy-time accrual: cum_busy_ is exact as of last_change_; between marks
   // the busy-core count is constant, so BusyTimeAt interpolates exactly.

@@ -93,19 +93,18 @@ void Network::Send(NodeId from, NodeId to, MessagePtr msg) {
     last = deliver_at;
   }
 
-  if (observer_) observer_->OnSend(from, to, wire_bytes, deliver_at);
+  bytes_in_flight_ += wire_bytes;
   // Delivery executes in the receiver's lane, ordered by the sender's key.
   sched_.ScheduleAtLane(
       dst.lane, deliver_at,
       [this, from, to, wire_bytes, msg = std::move(msg)]() {
+        bytes_in_flight_ -= wire_bytes;
         auto& receiver = nodes_.at(static_cast<std::size_t>(to));
         if (receiver.crashed) {
           ++messages_dropped_;
-          if (observer_) observer_->OnDrop(from, to, wire_bytes);
           return;
         }
         ++messages_delivered_;
-        if (observer_) observer_->OnDeliver(from, to, wire_bytes);
         if (receiver.handler) receiver.handler(from, msg);
       },
       "net/deliver");

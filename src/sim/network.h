@@ -42,28 +42,6 @@ class Message {
 
 using MessagePtr = std::shared_ptr<const Message>;
 
-/// Observer hook for network telemetry (bytes-in-flight tracking). Fires
-/// synchronously from Network bookkeeping; observers must not send messages
-/// from the callbacks. Only messages that actually make it onto the wire are
-/// reported to OnSend; send-time drops (crash/partition/loss) never count.
-class NetworkObserver {
- public:
-  virtual ~NetworkObserver() = default;
-  /// `wire_bytes` includes framing overhead; `deliver_at` is when the
-  /// receiver's handler will run.
-  virtual void OnSend(NodeId from, NodeId to, std::size_t wire_bytes,
-                      SimTime deliver_at) {
-    (void)from, (void)to, (void)wire_bytes, (void)deliver_at;
-  }
-  virtual void OnDeliver(NodeId from, NodeId to, std::size_t wire_bytes) {
-    (void)from, (void)to, (void)wire_bytes;
-  }
-  /// A scheduled message was dropped at delivery time (receiver crashed).
-  virtual void OnDrop(NodeId from, NodeId to, std::size_t wire_bytes) {
-    (void)from, (void)to, (void)wire_bytes;
-  }
-};
-
 /// Static link parameters.
 struct NetworkConfig {
   SimDuration base_latency = FromMicros(180);  // LAN RTT/2 incl. kernel+TLS
@@ -127,6 +105,9 @@ class Network {
     return messages_dropped_;
   }
   [[nodiscard]] std::uint64_t BytesSent() const { return bytes_sent_; }
+  /// Wire bytes (framing included) of messages on the wire and not yet
+  /// delivered or dropped at delivery. Send-time drops never count.
+  [[nodiscard]] std::uint64_t BytesInFlight() const { return bytes_in_flight_; }
 
   [[nodiscard]] const NetworkConfig& Config() const { return config_; }
 
@@ -136,9 +117,6 @@ class Network {
 
   /// Current simulated time (convenience for senders stamping messages).
   [[nodiscard]] SimTime Now() const { return sched_.Now(); }
-
-  /// Registers (or clears, with nullptr) the telemetry observer.
-  void SetObserver(NetworkObserver* observer) { observer_ = observer; }
 
   /// The scheduler lane of an endpoint (the lane active when it was
   /// registered — its machine's logical process).
@@ -180,7 +158,7 @@ class Network {
   std::uint64_t messages_delivered_ = 0;
   std::uint64_t messages_dropped_ = 0;
   std::uint64_t bytes_sent_ = 0;
-  NetworkObserver* observer_ = nullptr;
+  std::uint64_t bytes_in_flight_ = 0;
 };
 
 }  // namespace fabricsim::sim

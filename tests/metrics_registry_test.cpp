@@ -9,6 +9,7 @@
 
 #include "fabric/experiment.h"
 #include "metrics/registry.h"
+#include "sim/cpu.h"
 #include "sim/scheduler.h"
 
 namespace fabricsim::metrics {
@@ -154,19 +155,90 @@ TEST(Registry, WriteJsonEmitsSeriesAndSampleRows) {
 TEST(Registry, WritePrometheusSanitizesNamesAndStampsMillis) {
   Registry reg;
   reg.AddGauge("osn0.ch-0.ingress_depth", [] { return 3.0; });
+  reg.AddGauge("validator disk.busy_cores", [] { return 1.0; });
   reg.SampleNow(sim::FromSeconds(2));
 
   std::ostringstream os;
   reg.WritePrometheus(os);
   const std::string out = os.str();
-  // Dots and dashes become underscores to satisfy the metric-name grammar;
-  // the timestamp is simulated milliseconds.
+  // Every character outside [A-Za-z0-9_:] becomes an underscore to satisfy
+  // the metric-name grammar; the timestamp is simulated milliseconds.
   EXPECT_NE(out.find("# TYPE fabricsim_osn0_ch_0_ingress_depth gauge"),
             std::string::npos)
       << out;
   EXPECT_NE(out.find("fabricsim_osn0_ch_0_ingress_depth 3 2000"),
             std::string::npos)
       << out;
+  EXPECT_NE(out.find("# TYPE fabricsim_validator_disk_busy_cores gauge"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("fabricsim_validator_disk_busy_cores 1 2000"),
+            std::string::npos)
+      << out;
+}
+
+TEST(Registry, SeriesAddedAfterASampleIsMissingOnlyThere) {
+  Registry reg;
+  reg.AddGauge("a.x", [] { return 1.0; });
+  reg.SampleNow(0);
+  reg.AddGauge("b.y", [] { return 2.0; });
+  reg.SampleNow(sim::FromSeconds(1));
+
+  std::ostringstream os;
+  reg.WritePrometheus(os);
+  const std::string out = os.str();
+  EXPECT_EQ(out.find("fabricsim_b_y 2 0\n"), std::string::npos) << out;
+  EXPECT_NE(out.find("fabricsim_b_y 2 1000\n"), std::string::npos) << out;
+  EXPECT_EQ(reg.Samples().size(), 3u);
+}
+
+TEST(Registry, SamplesCpuAndStopsWhenAsked) {
+  sim::Scheduler sched;
+  sim::Cpu cpu(sched, 2);
+  Registry reg;
+  reg.AddGauge("station.busy_cores",
+               [&cpu] { return static_cast<double>(cpu.BusyCores()); });
+  reg.AddGauge("station.queue_len",
+               [&cpu] { return static_cast<double>(cpu.QueueLength()); });
+  reg.StartSampling(sched, sim::SimDuration{100});
+
+  for (int i = 0; i < 5; ++i) cpu.Submit(150, [] {});
+  sched.RunUntil(250);
+  reg.StopSampling();
+  sched.Run();
+
+  // Ticks at t=100 and t=200 only (stopped before 300).
+  std::size_t busy_rows = 0, queue_rows = 0;
+  for (const LongSample& s : reg.Samples()) {
+    EXPECT_LE(s.t, 250);
+    EXPECT_EQ(s.resource, "station");
+    if (s.metric == "busy_cores") {
+      ++busy_rows;
+      EXPECT_EQ(s.value, 2.0);  // both cores busy through t=200
+    }
+    if (s.metric == "queue_len") ++queue_rows;
+  }
+  EXPECT_EQ(busy_rows, 2u);
+  EXPECT_EQ(queue_rows, 2u);
+}
+
+TEST(Registry, WriteCsvIsLongFormat) {
+  Registry reg;
+  reg.AddGauge("peer-machine0.busy_cores", [] { return 0.0; });
+  reg.AddGauge("peer-machine0.queue_len", [] { return 0.0; });
+  reg.AddGauge("osn0.ch.ingress_depth", [] { return 4.0; });
+  reg.AddGauge("undotted", [] { return 1.0; });
+  reg.SampleNow(sim::FromMillis(1500));
+
+  std::ostringstream os;
+  reg.WriteCsv(os);
+  // Each name splits at its last dot; a name without one has no resource.
+  EXPECT_EQ(os.str(),
+            "time_s,resource,metric,value\n"
+            "1.5,peer-machine0,busy_cores,0\n"
+            "1.5,peer-machine0,queue_len,0\n"
+            "1.5,osn0.ch,ingress_depth,4\n"
+            "1.5,,undotted,1\n");
 }
 
 // ------------------------------------------------------ experiment level

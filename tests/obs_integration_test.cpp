@@ -4,7 +4,10 @@
 // not perturb the simulation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <string>
+#include <tuple>
 
 #include "fabric/experiment.h"
 #include "obs/telemetry.h"
@@ -159,6 +162,37 @@ TEST(ObsIntegration, TelemetrySeesLoadOnPeerMachines) {
   EXPECT_TRUE(peer_busy_seen);
   EXPECT_TRUE(network_seen);
   EXPECT_TRUE(disk_seen);
+}
+
+TEST(ObsIntegration, ReusedTelemetrySamplerKeepsOneRowPerSample) {
+  // One sampler across two runs: the second run must sample only its own
+  // network (the first one's stations are freed by then), once per tick.
+  obs::TelemetrySampler sampler;
+  fabric::ExperimentConfig config = SmallExperiment();
+  config.telemetry = &sampler;
+  fabric::RunExperiment(config);
+  fabric::RunExperiment(config);
+
+  std::set<std::tuple<sim::SimTime, std::string, std::string>> seen;
+  sim::SimTime last = 0;
+  for (const obs::TelemetrySample& s : sampler.Samples()) {
+    EXPECT_TRUE(seen.emplace(s.t, s.resource, s.metric).second)
+        << s.t << ' ' << s.resource << ' ' << s.metric;
+    last = std::max(last, s.t);
+  }
+  std::size_t disk_rows_at_last_tick = 0;
+  for (const obs::TelemetrySample& s : sampler.Samples()) {
+    if (s.t == last && s.resource == "validator disk" &&
+        s.metric == "busy_cores") {
+      ++disk_rows_at_last_tick;
+    }
+  }
+  EXPECT_EQ(disk_rows_at_last_tick, 1u);
+
+  // The instruments died with the run's network: a later sample is safe.
+  const std::size_t rows = sampler.Samples().size();
+  sampler.SampleNow(last + 1);
+  EXPECT_GT(sampler.Samples().size(), rows);
 }
 
 }  // namespace

@@ -155,6 +155,37 @@ TEST(Network, CrashWhileInFlightDropsAtDelivery) {
   EXPECT_EQ(delivered, 0);
 }
 
+TEST(Network, TracksBytesInFlight) {
+  Fixture f;
+  const std::size_t overhead = f.net.Config().per_message_overhead_bytes;
+  std::uint64_t in_flight_at_handler = 1;
+  NodeId a = f.net.Register("a", [](NodeId, MessagePtr) {});
+  NodeId b = f.net.Register("b", [&](NodeId, MessagePtr) {
+    in_flight_at_handler = f.net.BytesInFlight();
+  });
+  NodeId c = f.net.Register("c", [](NodeId, MessagePtr) {});
+
+  // Send, then deliver: the receiver's handler already sees it landed.
+  f.net.Send(a, b, std::make_shared<TestMsg>(500));
+  EXPECT_EQ(f.net.BytesInFlight(), 500 + overhead);
+  f.sched.Run();
+  EXPECT_EQ(in_flight_at_handler, 0u);
+  EXPECT_EQ(f.net.BytesInFlight(), 0u);
+
+  // Drop on delivery to a receiver that crashed while the message flew.
+  f.net.Send(a, c, std::make_shared<TestMsg>(300));
+  EXPECT_EQ(f.net.BytesInFlight(), 300 + overhead);
+  f.net.Crash(c);
+  f.sched.Run();
+  EXPECT_EQ(f.net.MessagesDropped(), 1u);
+  EXPECT_EQ(f.net.BytesInFlight(), 0u);
+
+  // A send-time drop never goes on the wire.
+  f.net.Send(a, c, std::make_shared<TestMsg>(300));
+  EXPECT_EQ(f.net.MessagesDropped(), 2u);
+  EXPECT_EQ(f.net.BytesInFlight(), 0u);
+}
+
 TEST(Network, LossProbabilityDropsRoughlyThatFraction) {
   Scheduler sched;
   NetworkConfig cfg;

@@ -8,12 +8,16 @@
 //   fabricsim_cli --workload=smallbank --peers=6 --channels=2 --csv
 //   fabricsim_cli --ordering=raft --sweep=50,150,250,350 --jobs=4
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "bench/json.h"
@@ -103,8 +107,9 @@ void PrintHelp() {
       "                               run (open in chrome://tracing or\n"
       "                               https://ui.perfetto.dev); also prints\n"
       "                               the bottleneck-attribution table\n"
-      "  --telemetry-csv=<file>       write per-resource time series\n"
-      "                               (time_s,resource,metric,value)\n"
+      "  --telemetry-csv=<file>       write the metrics-registry timeline\n"
+      "                               every 100 ms of simulated time as\n"
+      "                               time_s,resource,metric,value rows\n"
       "  --faults=<spec>              chaos schedule, e.g.\n"
       "                               \"crash:leader@15s,revive:leader@25s\"\n"
       "                               or \"tamper-block:osn0@20s-25s\"\n"
@@ -159,13 +164,15 @@ void PrintHelp() {
       "                               memory for long runs, shrinks the\n"
       "                               dedup horizon to the retained window\n"
       "  --metrics-out=<file>         write the metrics-registry timeline\n"
-      "                               (queue depths, sheds, scheduler\n"
-      "                               backlog, tracker occupancy) sampled\n"
-      "                               every --metrics-period-ms of simulated\n"
-      "                               time; simulated results are unchanged\n"
+      "                               (station busy cores, queue depths,\n"
+      "                               sheds, network bytes in flight,\n"
+      "                               scheduler backlog, tracker occupancy)\n"
+      "                               sampled every --metrics-period-ms of\n"
+      "                               simulated time; simulated results are\n"
+      "                               unchanged\n"
       "  --metrics-format=json|prom   timeline format (default json;\n"
       "                               prom = Prometheus text exposition)\n"
-      "  --metrics-period-ms=<ms>     sampling cadence (default 250)\n"
+      "  --metrics-period-ms=<ms>     sampling cadence, > 0 (default 250)\n"
       "  --profile                    host-side DES profiler: prints the\n"
       "                               top-10 handler table (dispatch count,\n"
       "                               host time) after the run\n"
@@ -193,6 +200,21 @@ void PrintHelp() {
       "  --opt-policy-shortcircuit    stop verifying endorsements once the\n"
       "                               endorsement policy is satisfied\n"
       "  --help                       this text\n";
+}
+
+// Parses all of `text` as a T: false on empty input, trailing characters,
+// a value out of T's range, or a non-finite float.
+template <typename T>
+bool ParseNumber(const std::string& text, T& out) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return false;
+  }
+  out = value;
+  return true;
 }
 
 std::optional<std::string> ArgValue(const std::string& arg,
@@ -279,13 +301,9 @@ bool Parse(int argc, char** argv, CliOptions& out, std::string& error) {
       if (*v == "no-committer-dedup") {
         out.failpoints.disable_committer_dedup = true;
       } else if (v->rfind("silent-drop:", 0) == 0) {
-        try {
-          out.failpoints.client_silent_drop_every =
-              std::stoi(v->substr(12));
-        } catch (const std::exception&) {
-          out.failpoints.client_silent_drop_every = 0;
-        }
-        if (out.failpoints.client_silent_drop_every <= 0) {
+        if (!ParseNumber(v->substr(12),
+                         out.failpoints.client_silent_drop_every) ||
+            out.failpoints.client_silent_drop_every <= 0) {
           error = "bad --failpoint silent-drop count: " + *v;
           return false;
         }
@@ -338,12 +356,12 @@ bool Parse(int argc, char** argv, CliOptions& out, std::string& error) {
       std::stringstream ss(*v);
       std::string item;
       while (std::getline(ss, item, ',')) {
-        try {
-          out.sweep.push_back(std::stod(item));
-        } catch (const std::exception&) {
+        double rate = 0.0;
+        if (!ParseNumber(item, rate)) {
           error = "bad --sweep rate: " + item;
           return false;
         }
+        out.sweep.push_back(rate);
       }
       if (out.sweep.empty()) {
         error = "--sweep needs at least one rate";
@@ -353,7 +371,9 @@ bool Parse(int argc, char** argv, CliOptions& out, std::string& error) {
     }
     auto number = [&](const char* key, auto& field) -> bool {
       if (auto v = ArgValue(arg, key)) {
-        field = static_cast<std::decay_t<decltype(field)>>(std::stod(*v));
+        if (!ParseNumber(*v, field)) {
+          error = "bad value for " + std::string(key) + ": " + *v;
+        }
         return true;
       }
       return false;
@@ -378,9 +398,15 @@ bool Parse(int argc, char** argv, CliOptions& out, std::string& error) {
         number("--metrics-period-ms", out.metrics_period_ms) ||
         number("--retain-blocks", out.retain_blocks) ||
         number("--opt-vscc-workers", out.optimizations.vscc_workers)) {
+      if (!error.empty()) return false;
       continue;
     }
     error = "unknown argument: " + arg;
+    return false;
+  }
+  // A period under one simulated nanosecond would sample every nanosecond.
+  if (sim::FromMillis(out.metrics_period_ms) <= 0) {
+    error = "--metrics-period-ms must be positive";
     return false;
   }
   return true;
