@@ -6,6 +6,7 @@
 #include "crypto/ca.h"
 #include "crypto/merkle.h"
 #include "crypto/sha256.h"
+#include "ledger/block_store.h"
 #include "ledger/mvcc.h"
 #include "ledger/state_db.h"
 #include "ordering/block_cutter.h"
@@ -105,6 +106,50 @@ void BM_MvccValidateBlock(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MvccValidateBlock)->Arg(10)->Arg(100);
+
+// Genesis seeding of one channel's world state: 3,000 short keys with
+// 7-byte values into a fresh StateDb, then its teardown.
+void BM_StateDbSeed(benchmark::State& state) {
+  std::vector<std::string> keys;
+  for (int i = 0; i < 3000; ++i) keys.push_back("acct" + std::to_string(i));
+  const proto::Bytes balance = proto::ToBytes("1000000");
+  for (auto _ : state) {
+    ledger::StateDb db;
+    for (const std::string& key : keys) {
+      db.Put("token", key, balance, proto::KeyVersion{0, 0});
+    }
+    benchmark::DoNotOptimize(db.KeyCount());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(keys.size()));
+}
+BENCHMARK(BM_StateDbSeed);
+
+// The committer's tx-id path: append ten 100-tx blocks to a fresh store,
+// then one HasTransaction (duplicate screen) per id.
+void BM_BlockStoreAppendLookup(benchmark::State& state) {
+  std::vector<proto::BlockPtr> blocks;
+  std::vector<std::string> ids;
+  for (int b = 0; b < 10; ++b) {
+    std::vector<proto::TransactionEnvelope> txs;
+    for (int i = 0; i < 100; ++i) {
+      txs.push_back(BenchTx(b * 100 + i));
+      ids.push_back(txs.back().tx_id);
+    }
+    blocks.push_back(std::make_shared<proto::Block>(
+        proto::Block::Make(static_cast<std::uint64_t>(b), nullptr, txs)));
+  }
+  for (auto _ : state) {
+    ledger::BlockStore store;
+    for (const auto& block : blocks) store.Append(block);
+    for (const std::string& id : ids) {
+      benchmark::DoNotOptimize(store.HasTransaction(id));
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(ids.size()));
+}
+BENCHMARK(BM_BlockStoreAppendLookup);
 
 void BM_EnvelopeSerialize(benchmark::State& state) {
   for (auto _ : state) {

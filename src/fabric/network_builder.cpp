@@ -416,20 +416,26 @@ void FabricNetwork::ApplyOverloadProtection() {
 }
 
 void FabricNetwork::SeedAccounts() {
+  // Genesis data is identical on every peer of a channel: build it once,
+  // then copy the flat tables into each peer, keeping the peer's height.
+  const proto::Bytes balance =
+      proto::ToBytes(std::to_string(options_.seeded_balance));
   for (int c = 0; c < options_.channels; ++c) {
     const std::string channel_id = ChannelId(c);
+    ledger::StateDb seeded;
     for (std::size_t a = 0; a < options_.seeded_accounts; ++a) {
       const std::string acct = "acct" + std::to_string(a);
-      const proto::Bytes balance =
-          proto::ToBytes(std::to_string(options_.seeded_balance));
-      for (auto& p : peers_) {
-        p->SeedState(channel_id, "token", acct, balance);
-        p->SeedState(channel_id, "smallbank",
-                     chaincode::SmallBankChaincode::CheckingKey(acct),
-                     balance);
-        p->SeedState(channel_id, "smallbank",
-                     chaincode::SmallBankChaincode::SavingsKey(acct), balance);
-      }
+      seeded.Put("token", acct, balance, proto::KeyVersion{0, 0});
+      seeded.Put("smallbank", chaincode::SmallBankChaincode::CheckingKey(acct),
+                 balance, proto::KeyVersion{0, 0});
+      seeded.Put("smallbank", chaincode::SmallBankChaincode::SavingsKey(acct),
+                 balance, proto::KeyVersion{0, 0});
+    }
+    for (auto& p : peers_) {
+      ledger::StateDb& state = p->GetCommitter(channel_id).MutableState();
+      const std::uint64_t height = state.Height();
+      state = seeded;
+      state.SetHeight(height);
     }
   }
 }

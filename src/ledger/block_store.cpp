@@ -1,36 +1,91 @@
 #include "ledger/block_store.h"
 
+#include <functional>
+
 namespace fabricsim::ledger {
+
+namespace {
+
+std::size_t HashId(std::string_view tx_id) {
+  return std::hash<std::string_view>{}(tx_id);
+}
+
+}  // namespace
 
 void BlockStore::Append(proto::BlockPtr block,
                         std::vector<proto::ValidationCode> codes) {
   const std::uint64_t num = Height();
-  for (std::size_t i = 0; i < block->transactions.size(); ++i) {
-    const std::string_view id = block->transactions[i].tx_id;
-    const TxLocation loc{num, static_cast<std::uint32_t>(i)};
-    auto [it, inserted] = tx_index_.try_emplace(id, loc);
-    if (!inserted) {
-      // A repeated id moves its entry, key view included, to this block.
-      tx_index_.erase(it);
-      tx_index_.emplace(id, loc);
-    }
-  }
   total_txs_ += block->transactions.size();
   stored_bytes_ += block->WireSize();
   blocks_.push_back(std::move(block));
   codes_.push_back(std::move(codes));
+  // Indexed once resident: a probe reads the id back from the block.
+  const auto& txs = blocks_.back()->transactions;
+  for (std::size_t i = 0; i < txs.size(); ++i) {
+    IndexTransaction(txs[i].tx_id, {num, static_cast<std::uint32_t>(i)});
+  }
   PruneFront();
+}
+
+std::size_t BlockStore::SlotOf(std::string_view tx_id,
+                               std::size_t hash) const {
+  const std::size_t mask = tx_slots_.size() - 1;
+  for (std::size_t s = hash & mask;; s = (s + 1) & mask) {
+    const Slot& slot = tx_slots_[s];
+    if (slot.block_num == Slot::kEmpty) return s;
+    if (slot.hash == hash &&
+        blocks_[static_cast<std::size_t>(slot.block_num - first_block_num_)]
+                ->transactions[slot.tx_index]
+                .tx_id == tx_id) {
+      return s;
+    }
+  }
+}
+
+void BlockStore::GrowIndex() {
+  std::vector<Slot> old = std::move(tx_slots_);
+  tx_slots_.assign(old.empty() ? 64 : old.size() * 2, Slot{});
+  const std::size_t mask = tx_slots_.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.block_num == Slot::kEmpty) continue;
+    std::size_t s = slot.hash & mask;
+    while (tx_slots_[s].block_num != Slot::kEmpty) s = (s + 1) & mask;
+    tx_slots_[s] = slot;
+  }
+}
+
+void BlockStore::IndexTransaction(std::string_view tx_id, TxLocation loc) {
+  if (2 * (tx_indexed_ + 1) > tx_slots_.size()) GrowIndex();
+  const std::size_t hash = HashId(tx_id);
+  Slot& slot = tx_slots_[SlotOf(tx_id, hash)];
+  // A repeated id moves its slot to this (newer) location.
+  if (slot.block_num == Slot::kEmpty) ++tx_indexed_;
+  slot = Slot{hash, loc.block_num, loc.tx_index};
+}
+
+void BlockStore::EraseSlot(std::size_t hole) {
+  // Backward-shift deletion: pull each later chain member whose home lies
+  // at or before the hole into it.
+  const std::size_t mask = tx_slots_.size() - 1;
+  for (std::size_t s = (hole + 1) & mask;
+       tx_slots_[s].block_num != Slot::kEmpty; s = (s + 1) & mask) {
+    const std::size_t home = tx_slots_[s].hash & mask;
+    if (((s - home) & mask) >= ((s - hole) & mask)) {
+      tx_slots_[hole] = tx_slots_[s];
+      hole = s;
+    }
+  }
+  tx_slots_[hole] = Slot{};
+  --tx_indexed_;
 }
 
 void BlockStore::PruneFront() {
   if (keep_blocks_ == 0) return;
   while (blocks_.size() > keep_blocks_) {
     for (const auto& tx : blocks_.front()->transactions) {
-      auto it = tx_index_.find(tx.tx_id);
-      // An id repeated in a newer (retained) block keeps its entry.
-      if (it != tx_index_.end() && it->second.block_num == first_block_num_) {
-        tx_index_.erase(it);
-      }
+      const std::size_t s = SlotOf(tx.tx_id, HashId(tx.tx_id));
+      // An id repeated in a newer (retained) block keeps its slot.
+      if (tx_slots_[s].block_num == first_block_num_) EraseSlot(s);
     }
     blocks_.pop_front();
     codes_.pop_front();
@@ -55,14 +110,15 @@ proto::BlockPtr BlockStore::LastBlock() const {
 }
 
 bool BlockStore::HasTransaction(std::string_view tx_id) const {
-  return tx_index_.count(tx_id) != 0;
+  return FindTransaction(tx_id).has_value();
 }
 
 std::optional<TxLocation> BlockStore::FindTransaction(
     std::string_view tx_id) const {
-  auto it = tx_index_.find(tx_id);
-  if (it == tx_index_.end()) return std::nullopt;
-  return it->second;
+  if (tx_indexed_ == 0) return std::nullopt;
+  const Slot& slot = tx_slots_[SlotOf(tx_id, HashId(tx_id))];
+  if (slot.block_num == Slot::kEmpty) return std::nullopt;
+  return TxLocation{slot.block_num, slot.tx_index};
 }
 
 std::vector<KeyModification> BlockStore::HistoryFor(

@@ -6,6 +6,13 @@
 // blocks and their validation codes, as Fabric's history database does (its
 // entries hold only block/tx coordinates).
 //
+// The tx-id index is a flat open-addressing (linear-probing) table of
+// {hash, block number, tx index} slots. It stores no id string: a probe
+// compares the id held inside the resident block the slot points at, so
+// indexing a transaction allocates nothing of its own. A repeated id moves
+// its slot to the newest block; pruning removes a block's slots by
+// backward-shift deletion, so the table never accumulates tombstones.
+//
 // Retention: by default every block is kept (the real block store is disk-
 // backed and effectively unbounded, but here blocks live in RSS, which makes
 // million-transaction soak runs infeasible). SetRetention(n) keeps only the
@@ -20,7 +27,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "proto/block.h"
@@ -104,13 +110,27 @@ class BlockStore {
   [[nodiscard]] std::uint64_t StoredBytes() const { return stored_bytes_; }
 
  private:
+  struct Slot {
+    static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+    std::size_t hash = 0;
+    std::uint64_t block_num = kEmpty;  // kEmpty = free slot
+    std::uint32_t tx_index = 0;
+  };
+
   void PruneFront();
+  /// Slot indexing `tx_id`, or the free slot that ends its probe chain.
+  [[nodiscard]] std::size_t SlotOf(std::string_view tx_id,
+                                   std::size_t hash) const;
+  void IndexTransaction(std::string_view tx_id, TxLocation loc);
+  void EraseSlot(std::size_t hole);
+  void GrowIndex();
 
   std::deque<proto::BlockPtr> blocks_;
   std::deque<std::vector<proto::ValidationCode>> codes_;
-  // Keys view the tx ids inside the resident (shared, immutable) blocks;
-  // an entry is erased before the block its key views is popped.
-  std::unordered_map<std::string_view, TxLocation> tx_index_;
+  // Every slot points at a transaction of a resident block; a block's slots
+  // are erased before it is popped.
+  std::vector<Slot> tx_slots_;  // power-of-two size, at most half full
+  std::size_t tx_indexed_ = 0;
   std::uint64_t first_block_num_ = 0;
   std::uint64_t keep_blocks_ = 0;  // 0 = unbounded
   std::uint64_t total_txs_ = 0;

@@ -5,20 +5,23 @@
 // versions during simulation; the committer compares them during MVCC
 // validation and bumps them at commit.
 //
-// Storage is one hash map per namespace, each keyed by the bare key, with
-// string_view lookups: the hot path — point reads in endorsement and MVCC,
-// writes at commit — is O(1) and builds no key string. Ordered range scans
-// (GetStateByRange) are served by a per-namespace sorted key index built
-// lazily on first scan and invalidated only when the namespace's key *set*
-// changes (new key, delete); overwrites keep it warm.
+// Storage is flat, per namespace: a dense vector of entries (key, value,
+// version, stored hash) and an open-addressing, linear-probing index of
+// entry numbers. Keys and values are std::strings, so the short ones every
+// workload writes (a 1-byte kvwrite value, a 7-byte balance, "chk:acct42")
+// sit in the SSO buffer and an insert, overwrite or teardown allocates
+// nothing of its own. Lookups take string_views and build no key string.
+// Delete swap-removes the entry and backward-shifts the probe chain, so the
+// table holds no tombstones. Ordered range scans (GetStateByRange) use a
+// per-namespace vector of entry numbers sorted by key, built lazily on the
+// first scan and invalidated only when the key *set* changes (new key,
+// delete); overwrites keep it warm.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -80,33 +83,53 @@ class StateDb {
   void SetHeight(std::uint64_t h) { height_ = h; }
 
  private:
-  struct StringHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
+  struct Entry {
+    std::string key;
+    std::string value;  // proto::Bytes content; SSO keeps short ones inline
+    proto::KeyVersion version;
+    std::size_t hash = 0;
+  };
+
+  /// One chaincode namespace: entries plus their hash index.
+  class Namespace {
+   public:
+    explicit Namespace(std::string name) : name_(std::move(name)) {}
+
+    [[nodiscard]] const std::string& Name() const { return name_; }
+    [[nodiscard]] std::size_t Size() const { return entries_.size(); }
+    [[nodiscard]] const Entry* Find(std::string_view key) const;
+    void Put(std::string_view key, const proto::Bytes& value,
+             proto::KeyVersion version);
+    void Delete(std::string_view key);
+    /// Entry numbers in key order (rebuilt after a key-set change).
+    [[nodiscard]] const std::vector<std::uint32_t>& Sorted() const;
+    [[nodiscard]] const Entry& At(std::uint32_t e) const {
+      return entries_[e];
     }
+
+   private:
+    static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+
+    /// Slot holding `key`'s entry number, or the empty slot that ends its
+    /// probe chain.
+    [[nodiscard]] std::size_t SlotOf(std::string_view key,
+                                     std::size_t hash) const;
+    /// Slot holding entry number `e` (which must be indexed).
+    [[nodiscard]] std::size_t SlotOfEntry(std::uint32_t e) const;
+    void Grow();
+
+    std::string name_;
+    std::vector<Entry> entries_;
+    std::vector<std::uint32_t> slots_;  // power-of-two size, kEmpty = free
+    mutable std::vector<std::uint32_t> sorted_;
+    mutable bool sorted_valid_ = false;
   };
-  template <typename V>
-  using StringMap = std::unordered_map<std::string, V, StringHash,
-                                       std::equal_to<>>;
-  using KeyMap = StringMap<VersionedValue>;
 
-  struct Namespace {
-    KeyMap keys;
-    // Key-order index for range scans. Entry pointers stay valid across
-    // rehashes (unordered_map nodes are stable) and across overwrites; any
-    // key-set change invalidates it.
-    mutable std::vector<const KeyMap::value_type*> sorted;
-    mutable bool sorted_valid = false;
-  };
+  [[nodiscard]] const Namespace* FindNamespace(std::string_view ns) const;
+  Namespace& NamespaceFor(std::string_view ns);
 
-  [[nodiscard]] const VersionedValue* Find(std::string_view ns,
-                                           std::string_view key) const;
-  static void PutIn(Namespace& space, const std::string& key,
-                    proto::Bytes value, proto::KeyVersion version);
-  static void DeleteIn(Namespace& space, std::string_view key);
-
-  StringMap<Namespace> namespaces_;
+  // A handful of chaincodes per channel: a linear scan beats any map.
+  std::vector<Namespace> namespaces_;
   std::uint64_t height_ = 0;
 };
 

@@ -4,7 +4,6 @@
 #include <future>
 #include <string_view>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "crypto/signature.h"
@@ -383,18 +382,29 @@ void Committer::SerialCommit(PendingBlock pb) {
   // The failpoint skips it so chaos tests can observe double commits.
   std::vector<proto::ValidationCode> codes = std::move(pb.vscc_codes);
   if (!dedup_disabled_) {
-    // Views into the shared immutable block, which outlives this call.
-    std::unordered_set<std::string_view> seen;
-    seen.reserve(pb.block->transactions.size());
-    for (std::size_t i = 0; i < pb.block->transactions.size(); ++i) {
-      const std::string_view id = pb.block->transactions[i].tx_id;
-      const bool repeated = !seen.insert(id).second;
-      if (repeated || chain_.Store().HasTransaction(id)) {
-        if (codes[i] == proto::ValidationCode::kValid) {
-          codes[i] = proto::ValidationCode::kDuplicateTxId;
-          ++duplicate_tx_rejects_;
-        }
+    const auto& txs = pb.block->transactions;
+    auto flag = [&](std::size_t i) {
+      if (codes[i] == proto::ValidationCode::kValid) {
+        codes[i] = proto::ValidationCode::kDuplicateTxId;
+        ++duplicate_tx_rejects_;
       }
+    };
+    // In-block repeats: sorted (id, index) views put equal ids side by side,
+    // earliest first, so every later occurrence is flagged. The views point
+    // into the shared immutable block, which outlives this call.
+    dedup_screen_.clear();
+    for (std::size_t i = 0; i < txs.size(); ++i) {
+      dedup_screen_.emplace_back(txs[i].tx_id, i);
+    }
+    std::sort(dedup_screen_.begin(), dedup_screen_.end());
+    for (std::size_t k = 1; k < dedup_screen_.size(); ++k) {
+      if (dedup_screen_[k].first == dedup_screen_[k - 1].first) {
+        flag(dedup_screen_[k].second);
+      }
+    }
+    // Ids already on the ledger.
+    for (std::size_t i = 0; i < txs.size(); ++i) {
+      if (chain_.Store().HasTransaction(txs[i].tx_id)) flag(i);
     }
   }
 

@@ -14,7 +14,10 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "crypto/ca.h"
 #include "crypto/msp_cache.h"
@@ -246,6 +249,8 @@ class Committer {
   std::map<std::uint64_t, DeferredBlock> deferred_;
   std::size_t max_pipeline_blocks_ = 0;  // 0 = unbounded
   bool dedup_disabled_ = false;          // failpoint, see SetDedupDisabled
+  // SerialCommit's duplicate screen, reused across blocks: (tx id, index).
+  std::vector<std::pair<std::string_view, std::size_t>> dedup_screen_;
   bool data_hash_check_disabled_ = false;  // failpoint
   std::uint64_t deferred_total_ = 0;
   std::uint64_t rejected_orderer_sig_ = 0;

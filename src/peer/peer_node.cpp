@@ -61,17 +61,6 @@ void PeerNode::SetPolicy(const std::string& channel_id,
                                                  std::move(policy));
 }
 
-void PeerNode::SeedState(const std::string& ns, const std::string& key,
-                         proto::Bytes value) {
-  SeedState(default_channel_, ns, key, std::move(value));
-}
-
-void PeerNode::SeedState(const std::string& channel_id, const std::string& ns,
-                         const std::string& key, proto::Bytes value) {
-  channels_.at(channel_id)->committer->MutableState().Put(
-      ns, key, std::move(value), proto::KeyVersion{0, 0});
-}
-
 void PeerNode::OnMessage(sim::NodeId from, const sim::MessagePtr& msg) {
   if (auto req = std::dynamic_pointer_cast<const EndorseRequestMsg>(msg)) {
     if (endorsing_) HandleEndorseRequest(from, req);

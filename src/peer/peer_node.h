@@ -94,12 +94,6 @@ class PeerNode {
                  const std::string& chaincode_id,
                  policy::EndorsementPolicy policy);
 
-  /// Seeds the default channel's world state before the run (genesis data).
-  void SeedState(const std::string& ns, const std::string& key,
-                 proto::Bytes value);
-  void SeedState(const std::string& channel_id, const std::string& ns,
-                 const std::string& key, proto::Bytes value);
-
   // --- gossip block dissemination (Fabric's gossip layer) -----------------
   // With gossip, only designated leader peers subscribe to the ordering
   // service; they push delivered blocks to their gossip peers, and every

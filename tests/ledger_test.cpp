@@ -1,5 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <iterator>
+#include <map>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "crypto/ca.h"
 #include "ledger/block_store.h"
 #include "ledger/blockchain.h"
@@ -387,6 +395,157 @@ TEST(BlockStore, RepeatedTxIdStaysVisibleWhileAnyHoldingBlockIsResident) {
                {ValidationCode::kValid});
   EXPECT_FALSE(store.HasTransaction("X"));
   EXPECT_TRUE(store.HasTransaction("Y"));
+}
+
+// ------------------------------------------- differential (reference) runs
+
+// StateDb against a std::map reference over three namespaces. The key space
+// (about 20k keys) forces many table growths, and with inserts and deletes
+// interleaved most deletes land inside a probe chain, exercising the
+// backward shift and the swap-remove renumbering. Values mix inline
+// (short) and heap-sized strings.
+TEST(StateDbDifferential, MatchesOrderedMapReference) {
+  const std::vector<std::string> spaces = {"token", "smallbank", "kvwrite"};
+  constexpr int kKeysPerSpace = 6800;
+  auto key_name = [](int k) {
+    return k % 5 == 0 ? "a-deliberately-long-key-" + std::to_string(k)
+                      : "k" + std::to_string(k);
+  };
+  using Ref = std::map<std::string, std::pair<std::string, KeyVersion>>;
+  std::vector<Ref> ref(spaces.size());
+  StateDb db;
+  std::mt19937_64 rng(20260418);
+
+  auto check_space = [&](std::size_t s) {
+    const auto all = db.GetRange(spaces[s], "", "");
+    ASSERT_EQ(all.size(), ref[s].size());
+    auto it = ref[s].begin();
+    for (const auto& [key, vv] : all) {
+      ASSERT_EQ(key, it->first);
+      ASSERT_EQ(proto::ToString(vv.value), it->second.first);
+      ASSERT_EQ(vv.version, it->second.second);
+      ++it;
+    }
+  };
+  auto ref_keys = [&] {
+    std::size_t n = 0;
+    for (const Ref& r : ref) n += r.size();
+    return n;
+  };
+
+  std::size_t max_keys = 0;
+  for (std::uint32_t op = 0; op < 160'000; ++op) {
+    const std::size_t s = rng() % spaces.size();
+    const std::string key =
+        key_name(static_cast<int>(rng() % kKeysPerSpace));
+    // Grow for the first half, shrink for the rest, so the run crosses
+    // every table growth and then deletes through full tables.
+    const int delete_pct = op < 80'000 ? 25 : 70;
+    const int roll = static_cast<int>(rng() % 100);
+    if (roll < delete_pct) {
+      db.Delete(spaces[s], key);
+      ref[s].erase(key);
+    } else if (roll < 90) {
+      const std::string value =
+          rng() % 2 == 0 ? std::to_string(rng() % 1000)
+                         : std::string(20 + rng() % 40, 'v') + key;
+      const KeyVersion version{op, static_cast<std::uint32_t>(s)};
+      db.Put(spaces[s], key, proto::ToBytes(value), version);
+      ref[s][key] = {value, version};
+    } else if (roll < 99) {
+      // Point reads, including misses.
+      const auto got = db.Get(spaces[s], key);
+      const auto want = ref[s].find(key);
+      ASSERT_EQ(got.has_value(), want != ref[s].end()) << key;
+      ASSERT_EQ(db.GetVersion(spaces[s], key).has_value(), got.has_value());
+      if (got) {
+        ASSERT_EQ(proto::ToString(got->value), want->second.first);
+        ASSERT_EQ(got->version, want->second.second);
+        ASSERT_EQ(*db.GetVersion(spaces[s], key), want->second.second);
+      }
+    } else {
+      // A short range scan from `key` (rebuilds the index if stale).
+      auto lo = ref[s].lower_bound(key);
+      auto hi = lo;
+      for (int step = 0; step < 8 && hi != ref[s].end(); ++step) ++hi;
+      const std::string end = hi == ref[s].end() ? "" : hi->first;
+      const auto range = db.GetRange(spaces[s], key, end);
+      ASSERT_EQ(range.size(),
+                static_cast<std::size_t>(std::distance(lo, hi)));
+      for (const auto& [k, vv] : range) {
+        ASSERT_EQ(k, lo->first);
+        ASSERT_EQ(vv.version, lo->second.second);
+        ++lo;
+      }
+    }
+    ASSERT_EQ(db.KeyCount(), ref_keys());
+    max_keys = std::max(max_keys, ref_keys());
+    if (op % 20'000 == 19'999) {
+      for (std::size_t c = 0; c < spaces.size(); ++c) check_space(c);
+    }
+  }
+  EXPECT_GT(max_keys, 12'000u);  // several growths per namespace
+  EXPECT_LT(ref_keys(), max_keys / 2);
+  for (std::size_t c = 0; c < spaces.size(); ++c) check_space(c);
+  EXPECT_FALSE(db.Get("absent-namespace", "k1").has_value());
+}
+
+// BlockStore's tx-id index under retention against a reference map from id
+// to its newest resident location. Ids repeat within and across blocks;
+// pruning removes an id only if its newest occurrence left the window.
+TEST(BlockStoreDifferential, RetainedIndexMatchesNewestResidentLocation) {
+  constexpr std::uint64_t kRetain = 64;
+  constexpr int kIdPool = 5000;
+  BlockStore store;
+  store.SetRetention(kRetain);
+  std::map<std::string, TxLocation> ref;
+  std::deque<std::vector<std::string>> resident;  // ids per resident block
+  std::mt19937_64 rng(7);
+
+  auto expect_matches = [&](const std::string& id) {
+    const auto got = store.FindTransaction(id);
+    const auto want = ref.find(id);
+    ASSERT_EQ(got.has_value(), want != ref.end()) << id;
+    ASSERT_EQ(store.HasTransaction(id), got.has_value()) << id;
+    if (got) {
+      ASSERT_EQ(got->block_num, want->second.block_num) << id;
+      ASSERT_EQ(got->tx_index, want->second.tx_index) << id;
+    }
+  };
+
+  std::size_t max_indexed = 0;
+  for (std::uint64_t n = 0; n < 600; ++n) {
+    std::vector<proto::TransactionEnvelope> txs;
+    std::vector<std::string> ids;
+    const std::size_t count = 1 + rng() % 30;
+    for (std::size_t i = 0; i < count; ++i) {
+      // Occasionally repeat an id of this same block.
+      ids.push_back(i > 0 && rng() % 10 == 0
+                        ? ids[rng() % i]
+                        : "tx" + std::to_string(rng() % kIdPool));
+      txs.push_back(TxRW(ids.back(), {}, {"a"}));
+      ref[ids.back()] = {n, static_cast<std::uint32_t>(i)};
+    }
+    store.Append(MakeBlock(n, nullptr, std::move(txs)));
+    resident.push_back(ids);
+    if (resident.size() > kRetain) {
+      const std::uint64_t pruned = n - kRetain;
+      for (const std::string& id : resident.front()) {
+        auto it = ref.find(id);
+        if (it != ref.end() && it->second.block_num == pruned) ref.erase(it);
+      }
+      resident.pop_front();
+    }
+    max_indexed = std::max(max_indexed, ref.size());
+    ASSERT_EQ(store.FirstBlockNumber(), n + 1 - resident.size());
+    for (const std::string& id : ids) expect_matches(id);
+    if (n % 50 == 49) {
+      for (int k = 0; k < kIdPool; ++k) {
+        expect_matches("tx" + std::to_string(k));
+      }
+    }
+  }
+  EXPECT_GT(max_indexed, 600u);  // the index grew several times
 }
 
 }  // namespace

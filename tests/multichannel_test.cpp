@@ -59,6 +59,51 @@ TEST(MultiChannel, PeersJoinAllChannelsWithSeparateLedgers) {
   }
 }
 
+TEST(MultiChannel, EveryPeerStartsFromTheSameSeededState) {
+  NetworkOptions opts = TwoChannels(OrderingType::kSolo);
+  opts.seeded_accounts = 300;
+  FabricNetwork net(opts);
+  const std::vector<std::pair<std::string, std::string>> sampled = {
+      {"token", "acct0"},          {"token", "acct299"},
+      {"smallbank", "chk:acct7"},  {"smallbank", "sav:acct150"},
+      {"smallbank", "sav:acct299"}};
+  for (int c = 0; c < net.ChannelCount(); ++c) {
+    const std::string ch = net.ChannelId(c);
+    for (std::size_t p = 0; p < net.PeerCount(); ++p) {
+      const ledger::StateDb& state = net.Peer(p).GetCommitter(ch).State();
+      EXPECT_EQ(state.KeyCount(), 3 * opts.seeded_accounts) << ch << p;
+      EXPECT_EQ(state.Height(), 1u) << ch << p;
+      for (const auto& [ns, key] : sampled) {
+        const auto v = state.Get(ns, key);
+        ASSERT_TRUE(v.has_value()) << ch << p << key;
+        EXPECT_EQ(proto::ToString(v->value),
+                  std::to_string(opts.seeded_balance));
+        EXPECT_EQ(v->version, (proto::KeyVersion{0, 0}));
+      }
+      EXPECT_FALSE(state.Get("token", "acct300").has_value());
+    }
+  }
+
+  // Each peer owns its copy: writing one leaves the others untouched.
+  ledger::StateDb& first = net.Peer(0).GetCommitter("mychannel0")
+                               .MutableState();
+  first.Put("token", "acct0", proto::ToBytes("1"), proto::KeyVersion{5, 0});
+  first.Delete("smallbank", "chk:acct7");
+  for (std::size_t p = 1; p < net.PeerCount(); ++p) {
+    for (int c = 0; c < net.ChannelCount(); ++c) {
+      const auto& other = net.Peer(p).GetCommitter(net.ChannelId(c)).State();
+      EXPECT_EQ(other.Get("token", "acct0")->version,
+                (proto::KeyVersion{0, 0}));
+      EXPECT_TRUE(other.Get("smallbank", "chk:acct7").has_value());
+    }
+  }
+  EXPECT_TRUE(net.Peer(0)
+                  .GetCommitter("mychannel1")
+                  .State()
+                  .Get("smallbank", "chk:acct7")
+                  .has_value());
+}
+
 TEST(MultiChannel, ClientsAreBoundRoundRobin) {
   FabricNetwork net(TwoChannels(OrderingType::kSolo));
   // 4 clients, 2 channels: tx from client 0 lands on mychannel0, from

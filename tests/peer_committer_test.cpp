@@ -183,6 +183,26 @@ TEST(Committer, DuplicateTxIdAcrossBlocksFlagged) {
             proto::ValidationCode::kDuplicateTxId);
 }
 
+TEST(Committer, DuplicateScreenFlagsEveryLaterRepeatOnce) {
+  CommitterFixture f;
+  auto tx = [&](const std::string& id) {
+    return f.MakeTx(id, {f.peer1.get()}, {}, {});
+  };
+  EXPECT_EQ(f.Commit(f.MakeBlock({tx("old")}))[0],
+            proto::ValidationCode::kValid);
+  // Repeats out of key order, a triple, and an id already on the ledger
+  // that also repeats inside the block.
+  const auto codes = f.Commit(f.MakeBlock(
+      {tx("z"), tx("a"), tx("z"), tx("m"), tx("a"), tx("z"), tx("old"),
+       tx("old")}));
+  using VC = proto::ValidationCode;
+  EXPECT_EQ(codes, (std::vector<VC>{VC::kValid, VC::kValid,
+                                    VC::kDuplicateTxId, VC::kValid,
+                                    VC::kDuplicateTxId, VC::kDuplicateTxId,
+                                    VC::kDuplicateTxId, VC::kDuplicateTxId}));
+  EXPECT_EQ(f.committer->DuplicateTxRejects(), 5u);
+}
+
 TEST(Committer, MvccConflictWithinBlock) {
   CommitterFixture f;
   // Both transactions read "k" as absent and write it: second conflicts.
