@@ -21,13 +21,6 @@
 //                      The simulated results, stdout tables, and JSON point
 //                      order are byte-identical at any job count — only
 //                      host wall clock changes
-//   --no-crypto-cache  single escape hatch for every crypto cache: disables
-//                      the host-side signature-verification cache
-//                      (simulated results must not change; see
-//                      crypto/verify_cache.h) AND the --opt-msp-cache
-//                      identity cache (every lookup then verifies in full
-//                      at the uncached simulated cost; see
-//                      crypto/msp_cache.h)
 //   --profile          attach the host-side DES profiler to every point and
 //                      emit the top-10 handler table under each point's
 //                      "host.profile" (host-only; never gated)
@@ -55,7 +48,6 @@
 
 #include "bench/recorder.h"
 #include "crypto/msp_cache.h"
-#include "crypto/verify_cache.h"
 #include "fabric/experiment.h"
 #include "metrics/registry.h"
 #include "metrics/reporter.h"
@@ -70,7 +62,6 @@ struct Args {
   bool smoke = false;
   bool csv = false;
   bool attribution = false;
-  bool crypto_cache = true;
   bool profile = false;
   bool streaming = false;
   int reps = 1;
@@ -105,9 +96,8 @@ inline std::unique_ptr<fabricsim::bench::Recorder>& RecorderSlot() {
 inline void PrintUsage(std::ostream& os, const std::string& bench_name) {
   os << "usage: " << bench_name
      << " [--quick | --smoke] [--csv] [--attribution] [--json <path>]\n"
-        "       [--reps <n>] [--jobs <n>] [--no-crypto-cache] [--profile]\n"
-        "       [--streaming] [--metrics-out <path>]"
-        " [--metrics-period-ms <n>]\n";
+        "       [--reps <n>] [--jobs <n>] [--profile] [--streaming]\n"
+        "       [--metrics-out <path>] [--metrics-period-ms <n>]\n";
 }
 
 /// Parses the shared bench flags. Exits 2 with usage on an unknown flag, a
@@ -146,8 +136,6 @@ inline Args ParseArgs(int argc, char** argv, const std::string& bench_name) {
       out.csv = true;
     } else if (a == "--attribution") {
       out.attribution = true;
-    } else if (a == "--no-crypto-cache") {
-      out.crypto_cache = false;
     } else if (a == "--profile") {
       out.profile = true;
     } else if (a == "--streaming") {
@@ -170,9 +158,8 @@ inline Args ParseArgs(int argc, char** argv, const std::string& bench_name) {
   if (out.jobs <= 0) {
     out.jobs = static_cast<int>(fabricsim::runner::ThreadPool::DefaultJobs());
   }
-  fabricsim::crypto::VerifyCache::Instance().SetEnabled(out.crypto_cache);
   RecorderSlot() = std::make_unique<fabricsim::bench::Recorder>(
-      bench_name, out.Mode(), out.crypto_cache, out.reps, out.jobs);
+      bench_name, out.Mode(), out.reps, out.jobs);
   return out;
 }
 
@@ -262,16 +249,12 @@ inline fabricsim::fabric::ExperimentResult RunPoint(
 /// exit code: nonzero when the bench failed, the write failed, or any
 /// measurement point was nondeterministic.
 inline int Finish(const Args& args, bool ok = true) {
-  const auto& cache = fabricsim::crypto::VerifyCache::Instance();
-  RecorderSlot()->SetVerifyCacheSample(
-      {cache.Hits(), cache.Misses(), cache.Evictions(),
-       static_cast<std::uint64_t>(cache.Size())});
   // MSP identity-cache aggregates (nonzero only when a point armed
   // --opt-msp-cache; the recorder omits the block otherwise).
   RecorderSlot()->SetMspCacheSample(
       {fabricsim::crypto::MspIdentityCache::GlobalHits(),
        fabricsim::crypto::MspIdentityCache::GlobalMisses(),
-       fabricsim::crypto::MspIdentityCache::GlobalEvictions(), 0});
+       fabricsim::crypto::MspIdentityCache::GlobalEvictions()});
   if (!RecorderSlot()->Deterministic()) {
     std::cerr << "bench: determinism violation across repetitions\n";
     ok = false;

@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
   args.jobs = 1;
   args.reps = 1;
   benchutil::RecorderSlot() = std::make_unique<bench::Recorder>(
-      "soak", args.Mode(), args.crypto_cache, 1, 1);
+      "soak", args.Mode(), 1, 1);
   benchutil::RecorderSlot()->SetEmitTrackerStats(true);
 
   const double small_s =

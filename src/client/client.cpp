@@ -434,8 +434,9 @@ bool Client::EndorsementVerifies(const proto::ProposalResponse& resp) {
   const auto cert =
       crypto::Certificate::Deserialize(resp.endorsement.endorser_cert);
   if (!cert) return false;
-  return crypto::Verify(cert->subject_public_key, resp.payload.Serialize(),
-                        resp.endorsement.signature);
+  return crypto::VerifyDigestBound(cert->subject_binder,
+                                   crypto::Hash(resp.payload.Serialize()),
+                                   resp.endorsement.signature);
 }
 
 void Client::FinishEndorsement(const std::string& tx_id) {

@@ -14,6 +14,7 @@ Identity CertificateAuthority::Enroll(const std::string& subject,
   cert.msp_id = msp_id_;
   cert.role = role;
   cert.subject_public_key = member_keys.PublicKey();
+  cert.subject_binder = DeriveBinder(cert.subject_public_key);
   cert.issuer_public_key = root_keys_.PublicKey();
   const proto::Bytes body = cert.SignedBody();
   cert.issuer_signature = root_keys_.Sign(body);
@@ -49,7 +50,7 @@ bool MspRegistry::ValidateCertificate(const Certificate& cert) const {
 
 const Certificate* MspRegistry::CachedCertificate(
     proto::BytesView cert_bytes) const {
-  std::string key = proto::ToString(cert_bytes);
+  const std::string_view key = CertKey(cert_bytes);
   {
     std::lock_guard<std::mutex> lock(cert_cache_mu_);
     auto it = cert_cache_.find(key);
@@ -61,7 +62,7 @@ const Certificate* MspRegistry::CachedCertificate(
   std::optional<Certificate> parsed = Certificate::Deserialize(cert_bytes);
   if (parsed && !ValidateCertificate(*parsed)) parsed.reset();
   std::lock_guard<std::mutex> lock(cert_cache_mu_);
-  auto it = cert_cache_.emplace(std::move(key), std::move(parsed)).first;
+  auto it = cert_cache_.emplace(key, std::move(parsed)).first;
   return it->second ? &*it->second : nullptr;
 }
 

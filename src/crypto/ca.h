@@ -8,11 +8,30 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "crypto/identity.h"
 
 namespace fabricsim::crypto {
+
+/// Maps keyed by full serialized-certificate bytes. The hash and equality
+/// are transparent, so a lookup by the wire bytes (CertKey) builds no key
+/// string; only an insert copies the bytes.
+struct CertBytesHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view bytes) const {
+    return std::hash<std::string_view>{}(bytes);
+  }
+};
+template <typename V>
+using CertBytesMap =
+    std::unordered_map<std::string, V, CertBytesHash, std::equal_to<>>;
+
+/// The map key view of serialized certificate bytes.
+inline std::string_view CertKey(proto::BytesView cert_bytes) {
+  return {reinterpret_cast<const char*>(cert_bytes.data()), cert_bytes.size()};
+}
 
 /// An organization's certificate authority.
 class CertificateAuthority {
@@ -76,8 +95,7 @@ class MspRegistry {
   std::unordered_map<std::string, std::unique_ptr<CertificateAuthority>> cas_;
   // Identity cache: serialized cert bytes -> validated cert (or nullopt).
   mutable std::mutex cert_cache_mu_;
-  mutable std::unordered_map<std::string, std::optional<Certificate>>
-      cert_cache_;
+  mutable CertBytesMap<std::optional<Certificate>> cert_cache_;
 };
 
 }  // namespace fabricsim::crypto

@@ -68,6 +68,7 @@ std::optional<Certificate> Certificate::Deserialize(proto::BytesView data) {
     std::copy(issuer_pk.begin(), issuer_pk.end(),
               cert.issuer_public_key.begin());
     cert.issuer_signature = Signature::FromBytes(sig);
+    cert.subject_binder = DeriveBinder(cert.subject_public_key);
     return cert;
   } catch (const std::out_of_range&) {
     return std::nullopt;

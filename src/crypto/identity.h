@@ -29,6 +29,11 @@ struct Certificate {
   Digest subject_public_key{};
   Digest issuer_public_key{};
   Signature issuer_signature{};
+  /// DeriveBinder(subject_public_key), derived once per certificate so each
+  /// signature check under this key skips the per-key hash. Not on the
+  /// wire: Deserialize and CertificateAuthority::Enroll fill it, and code
+  /// that edits subject_public_key by hand must refresh it.
+  Digest subject_binder{};
 
   /// Canonical bytes of everything the issuer signs.
   [[nodiscard]] proto::Bytes SignedBody() const;

@@ -1,7 +1,5 @@
 #include "crypto/msp_cache.h"
 
-#include "crypto/verify_cache.h"
-
 namespace fabricsim::crypto {
 
 std::atomic<std::uint64_t> MspIdentityCache::global_hits_{0};
@@ -9,14 +7,7 @@ std::atomic<std::uint64_t> MspIdentityCache::global_misses_{0};
 std::atomic<std::uint64_t> MspIdentityCache::global_evictions_{0};
 
 MspIdentityCache::Result MspIdentityCache::Lookup(proto::BytesView cert_bytes) {
-  if (!VerifyCache::Instance().Enabled()) {
-    // Escape hatch: verify in full, store nothing, report a miss. The
-    // registry's own memo still answers, so the *verdict* is identical —
-    // only the simulated cached-cost discount is forfeited.
-    return Result{msps_.CachedCertificate(cert_bytes), false};
-  }
-
-  std::string key = proto::ToString(cert_bytes);
+  const std::string_view key = CertKey(cert_bytes);
   if (auto it = entries_.find(key); it != entries_.end()) {
     ++hits_;
     global_hits_.fetch_add(1, std::memory_order_relaxed);
@@ -37,7 +28,7 @@ MspIdentityCache::Result MspIdentityCache::Lookup(proto::BytesView cert_bytes) {
   // or hit a negative entry under its own full-bytes key.
   std::optional<Certificate> parsed = Certificate::Deserialize(cert_bytes);
   if (parsed && !msps_.ValidateCertificate(*parsed)) parsed.reset();
-  auto [it, inserted] = entries_.emplace(std::move(key), std::move(parsed));
+  auto [it, inserted] = entries_.emplace(key, std::move(parsed));
   return Result{it->second ? &*it->second : nullptr, false};
 }
 

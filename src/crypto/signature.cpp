@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "crypto/verify_cache.h"
-
 namespace fabricsim::crypto {
 namespace {
 
@@ -72,16 +70,12 @@ bool Verify(const Digest& public_key, proto::BytesView msg,
 
 bool VerifyDigest(const Digest& public_key, const Digest& msg_digest,
                   const Signature& sig) {
-  VerifyCache& cache = VerifyCache::Instance();
-  if (!cache.Enabled()) {
-    return Compose(DeriveBinder(public_key), msg_digest) == sig;
-  }
-  if (const auto cached = cache.Lookup(public_key, msg_digest, sig)) {
-    return *cached;
-  }
-  const bool ok = Compose(cache.BinderFor(public_key), msg_digest) == sig;
-  cache.Insert(public_key, msg_digest, sig, ok);
-  return ok;
+  return VerifyDigestBound(DeriveBinder(public_key), msg_digest, sig);
+}
+
+bool VerifyDigestBound(const Digest& binder, const Digest& msg_digest,
+                       const Signature& sig) {
+  return Compose(binder, msg_digest) == sig;
 }
 
 sim::SimDuration SignCost() { return sim::FromMicros(480); }

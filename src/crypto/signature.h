@@ -11,6 +11,8 @@
 // scope for a performance reproduction and documented in DESIGN.md.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <string>
 
 #include "crypto/sha256.h"
@@ -59,16 +61,66 @@ class KeyPair {
 bool Verify(const Digest& public_key, proto::BytesView msg,
             const Signature& sig);
 
-/// Digest-level verification; callers that verify the same bytes many times
-/// (every peer re-validates every envelope) memoize the digest. Consults
-/// the process-wide crypto::VerifyCache (see verify_cache.h) unless it is
-/// disabled; the verdict is identical either way.
+/// Digest-level verification; derives the key's keystream binder on every
+/// call. No cache: a signature that many sites check is checked once
+/// through the SignatureVerdict on the object that carries it.
 bool VerifyDigest(const Digest& public_key, const Digest& msg_digest,
                   const Signature& sig);
 
+/// Verification with the key's binder precomputed (DeriveBinder), as
+/// Certificate::subject_binder holds it: one hash per certificate instead
+/// of one per verification. `VerifyDigest(pk, d, s) ==
+/// VerifyDigestBound(DeriveBinder(pk), d, s)`.
+bool VerifyDigestBound(const Digest& binder, const Digest& msg_digest,
+                       const Signature& sig);
+
 /// Derives the keystream binder bound to a public key (the per-key
-/// component of signing and verification). Exposed for the verify cache.
+/// component of signing and verification).
 Digest DeriveBinder(const Digest& public_key);
+
+/// The memoized verdict of one signature, kept on the immutable wire object
+/// that carries it (an envelope's client signature or endorsement, a signed
+/// proposal, a block's orderer signature). The object is shared read-only
+/// by every site that checks it, so the first check verifies and the rest
+/// read the verdict; each site still charges its full simulated cost.
+///
+/// The verdict is a function of the carrier's own bytes: the key comes from
+/// the certificate the carrier holds, the digest and signature from its
+/// other fields. Copying or assigning resets it, as proto::CachedValue does,
+/// so a tampered copy verifies afresh; an in-place mutation must Reset() it
+/// through the carrier's InvalidateCaches(). Thread-safe for concurrent
+/// Check (the --opt-vscc-workers precompute pool checks shared envelopes
+/// from several host threads): racing checks compute the same pure verdict
+/// and store the same value.
+class SignatureVerdict {
+ public:
+  SignatureVerdict() = default;
+  SignatureVerdict(const SignatureVerdict&) noexcept {}  // do not copy
+  SignatureVerdict& operator=(const SignatureVerdict&) noexcept {
+    Reset();
+    return *this;
+  }
+
+  /// VerifyDigestBound(binder, msg_digest(), sig), computed on first use;
+  /// the digest is only built then.
+  template <typename DigestFn>
+  bool Check(const Digest& binder, DigestFn&& msg_digest,
+             const Signature& sig) const {
+    const std::uint8_t known = state_.load(std::memory_order_acquire);
+    if (known != kUnknown) return known == kValid;
+    const bool ok = VerifyDigestBound(binder, msg_digest(), sig);
+    state_.store(ok ? kValid : kInvalid, std::memory_order_release);
+    return ok;
+  }
+
+  void Reset() const { state_.store(kUnknown, std::memory_order_relaxed); }
+
+ private:
+  static constexpr std::uint8_t kUnknown = 0;
+  static constexpr std::uint8_t kValid = 1;
+  static constexpr std::uint8_t kInvalid = 2;
+  mutable std::atomic<std::uint8_t> state_{kUnknown};
+};
 
 /// Nominal CPU costs on the baseline machine (i7-2600), calibrated to
 /// OpenSSL ECDSA-P256 figures of that era plus Fabric's Go-runtime and

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "crypto/sha256.h"
-#include "crypto/verify_cache.h"
 #include "metrics/registry.h"
 #include "obs/trace.h"
 
@@ -42,7 +41,7 @@ constexpr sim::SimDuration kTelemetryPeriod = sim::FromMillis(100);
 
 /// Wires the standard instrument set into `reg`: scheduler backlog, queue
 /// depths and high-watermarks, cumulative sheds, defense counters, tracker
-/// occupancy, verify-cache traffic, per-station busy cores and queue length,
+/// occupancy, per-station busy cores and queue length,
 /// and network bytes in flight. All closures point into `net`, so the
 /// caller must DropInstruments() before the network dies.
 void WireInstruments(metrics::Registry& reg, FabricNetwork& net) {
@@ -91,12 +90,6 @@ void WireInstruments(metrics::Registry& reg, FabricNetwork& net) {
   gauge("tracker.inflight_records", [tracker] { return tracker->TxCount(); });
   gauge("tracker.retired_records",
         [tracker] { return tracker->RetiredCount(); });
-  // Host-side (thread-interleaving-dependent under parallel sweeps), but the
-  // timeline is exposition-only — never compared by the regression gate.
-  gauge("verify_cache.hits",
-        [] { return crypto::VerifyCache::Instance().Hits(); });
-  gauge("verify_cache.misses",
-        [] { return crypto::VerifyCache::Instance().Misses(); });
   // Resource use per CPU station, as `dstat` would show it per machine.
   const auto station = [&gauge](const std::string& name, const sim::Cpu* cpu) {
     gauge(name + ".busy_cores", [cpu] { return cpu->BusyCores(); });

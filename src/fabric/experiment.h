@@ -58,10 +58,10 @@ struct ExperimentConfig {
   bool streaming_stats = false;
   /// Optional metrics registry: the runner wires standard gauges (station
   /// busy cores and queue length, network bytes in flight, queue depths and
-  /// high-watermarks, sheds, scheduler backlog, verify cache, tracker
-  /// occupancy) and samples them every `metrics_period` of simulated time on
-  /// observer events — attaching it changes no simulated result. Reset +
-  /// rewired each run; not owned. The caller exports the timeline with
+  /// high-watermarks, sheds, scheduler backlog, tracker occupancy) and
+  /// samples them every `metrics_period` of simulated time on observer
+  /// events — attaching it changes no simulated result. Reset + rewired
+  /// each run; not owned. The caller exports the timeline with
   /// Registry::WriteJson/WritePrometheus/WriteCsv afterwards.
   metrics::Registry* registry = nullptr;
   sim::SimDuration metrics_period = sim::FromMillis(250);

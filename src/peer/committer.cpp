@@ -6,7 +6,6 @@
 #include <thread>
 #include <vector>
 
-#include "crypto/signature.h"
 #include "obs/trace.h"
 #include "runner/thread_pool.h"
 
@@ -123,9 +122,7 @@ Committer::VsccPlan Committer::PlanVscc(const proto::TransactionEnvelope& tx) {
   // short-circuit evaluator): an invalid endorsement *after* the satisfying
   // prefix is never examined, and an unsatisfiable endorsement set reports
   // kEndorsementPolicyFailure without looking at its signatures.
-  if (creator == nullptr ||
-      !crypto::VerifyDigest(creator->subject_public_key, tx.SignedBodyDigest(),
-                            tx.client_signature)) {
+  if (creator == nullptr || !tx.ClientSignatureValid(*creator)) {
     plan.code = proto::ValidationCode::kBadSignature;
     return plan;
   }
@@ -150,12 +147,9 @@ Committer::VsccPlan Committer::PlanVscc(const proto::TransactionEnvelope& tx) {
     plan.code = proto::ValidationCode::kEndorsementPolicyFailure;
     return plan;
   }
-  const crypto::Digest& endorsed = tx.EndorsedPayloadDigest();
   for (std::size_t i = 0; i < *prefix; ++i) {
     plan.cost += endorse_cost(i);  // the failing check is still paid for
-    if (certs[i] == nullptr ||
-        !crypto::VerifyDigest(certs[i]->subject_public_key, endorsed,
-                              tx.endorsements[i].signature)) {
+    if (certs[i] == nullptr || !tx.EndorsementValid(i, *certs[i])) {
       plan.code = proto::ValidationCode::kBadSignature;
       return plan;
     }
@@ -208,10 +202,7 @@ void Committer::OnBlock(proto::BlockPtr block, OnCommit on_commit) {
   // copy from the ordering service's canonical history.
   const crypto::Certificate* orderer_cert =
       msps_.CachedCertificate(block->metadata.orderer_cert);
-  if (orderer_cert == nullptr ||
-      !crypto::Verify(orderer_cert->subject_public_key,
-                      block->header.Serialize(),
-                      block->metadata.orderer_signature)) {
+  if (orderer_cert == nullptr || !block->OrdererSignatureValid(*orderer_cert)) {
     ++rejected_orderer_sig_;
     return;
   }

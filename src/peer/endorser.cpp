@@ -48,8 +48,7 @@ proto::ProposalResponse Endorser::Process(
       cert->role != crypto::Role::kAdmin) {
     return Refuse(p.tx_id, proto::EndorseStatus::kUnauthorized);
   }
-  if (!crypto::VerifyDigest(cert->subject_public_key, p.SerializedDigest(),
-                            sp.client_signature)) {
+  if (!sp.ClientSignatureValid(*cert)) {
     return Refuse(p.tx_id, proto::EndorseStatus::kBadProposal);
   }
 

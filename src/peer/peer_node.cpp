@@ -516,17 +516,20 @@ void PeerNode::StartEndorse(PendingEndorse item) {
   // Endorsement is the interactive RPC path: high priority on the CPU so
   // background VSCC work does not starve it (Go peers behave similarly —
   // proposal handling is latency-sensitive, validation is batched).
+  // The job holds the shared request, so every endorser reads the one
+  // proposal the client sent, with its serialization, digest and signature
+  // verdict memos.
   const sim::SimDuration cost = endorser->CostOf(item.msg->Proposal(), cal_);
-  auto proposal =
-      std::make_shared<proto::SignedProposal>(item.msg->Proposal());
   const sim::SimTime enqueued = env_.Now();
   machine_.GetCpu().Submit(
       cost,
-      [this, from = item.from, proposal, endorser, cost, enqueued] {
+      [this, from = item.from, msg = std::move(item.msg), endorser, cost,
+       enqueued] {
+        const proto::SignedProposal& proposal = msg->Proposal();
         if (auto* tr = env_.Trace()) RecordEndorseSpans(*tr, cost, enqueued,
-                                                        proposal->proposal.tx_id);
+                                                        proposal.proposal.tx_id);
         auto response = std::make_shared<proto::ProposalResponse>(
-            endorser->Process(*proposal));
+            endorser->Process(proposal));
         const std::size_t wire = response->Serialize().size();
         env_.Net().Send(net_id_, from,
                         std::make_shared<EndorseResponseMsg>(

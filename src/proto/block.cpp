@@ -73,7 +73,14 @@ const crypto::Digest& Block::DataHash() const {
   return data_hash_cache_.Get([this] { return ComputeDataHash(transactions); });
 }
 
+bool Block::OrdererSignatureValid(const crypto::Certificate& orderer) const {
+  return orderer_verdict_.Check(
+      orderer.subject_binder, [this] { return crypto::Hash(header.Serialize()); },
+      metadata.orderer_signature);
+}
+
 void Block::InvalidateCaches() const {
+  orderer_verdict_.Reset();
   serialized_cache_.Invalidate();
   data_hash_cache_.Invalidate();
   for (const auto& tx : transactions) tx.InvalidateCaches();

@@ -66,12 +66,20 @@ struct Block {
 
   [[nodiscard]] std::size_t TxCount() const { return transactions.size(); }
 
-  /// Drops the serialize/data-hash memos (and each envelope's). In-place
-  /// mutators must call this — the same contract as
-  /// TransactionEnvelope::InvalidateCaches().
+  /// Whether metadata.orderer_signature verifies over the serialized
+  /// header under `orderer`, the certificate deserialized from
+  /// metadata.orderer_cert. Memoized (crypto::SignatureVerdict): every
+  /// peer checks the same shared block, and copies verify afresh.
+  [[nodiscard]] bool OrdererSignatureValid(
+      const crypto::Certificate& orderer) const;
+
+  /// Drops the serialize/data-hash memos and the orderer verdict (and each
+  /// envelope's memos). In-place mutators must call this — the same
+  /// contract as TransactionEnvelope::InvalidateCaches().
   void InvalidateCaches() const;
 
  private:
+  crypto::SignatureVerdict orderer_verdict_;
   CachedBytes serialized_cache_;
   CachedValue<crypto::Digest> data_hash_cache_;
 };

@@ -59,6 +59,20 @@ struct SignedProposal {
   [[nodiscard]] Bytes Serialize() const;
   static std::optional<SignedProposal> Deserialize(BytesView data);
   [[nodiscard]] std::size_t WireSize() const { return Serialize().size(); }
+
+  /// Whether client_signature verifies over proposal.SerializedDigest()
+  /// under `creator`, the certificate deserialized from
+  /// proposal.creator_cert. Memoized (crypto::SignatureVerdict): every
+  /// endorser reads the one shared proposal, and copies verify afresh.
+  [[nodiscard]] bool ClientSignatureValid(
+      const crypto::Certificate& creator) const {
+    return client_verdict_.Check(
+        creator.subject_binder, [this] { return proposal.SerializedDigest(); },
+        client_signature);
+  }
+
+ private:
+  crypto::SignatureVerdict client_verdict_;
 };
 
 /// Endorser response status (mirrors Fabric's shim status codes).
@@ -90,9 +104,18 @@ struct Endorsement {
   Bytes endorser_cert;  // serialized crypto::Certificate
   crypto::Signature signature{};
 
-  bool operator==(const Endorsement&) const = default;
+  /// Compares the wire fields only, never the verdict memo.
+  bool operator==(const Endorsement& o) const {
+    return endorser_cert == o.endorser_cert && signature == o.signature;
+  }
   [[nodiscard]] Bytes Serialize() const;
   static std::optional<Endorsement> Deserialize(BytesView data);
+
+ private:
+  // Verdict over the enclosing envelope's endorsed payload; read and reset
+  // only by TransactionEnvelope (EndorsementValid, InvalidateCaches).
+  friend struct TransactionEnvelope;
+  crypto::SignatureVerdict verdict_;
 };
 
 /// The endorser's reply to the client.

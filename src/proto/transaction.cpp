@@ -70,18 +70,14 @@ TransactionEnvelope::VerifiedSigners(const crypto::MspRegistry& msps) const {
   // below is sound.
   std::optional<std::vector<crypto::Principal>> fresh;  // nullopt: bad sig
   const crypto::Certificate* client_cert = msps.CachedCertificate(creator_cert);
-  if (client_cert != nullptr &&
-      crypto::VerifyDigest(client_cert->subject_public_key, SignedBodyDigest(),
-                           client_signature)) {
+  if (client_cert != nullptr && ClientSignatureValid(*client_cert)) {
     std::vector<crypto::Principal> signers;
     signers.reserve(endorsements.size());
-    const crypto::Digest& endorsed = EndorsedPayloadDigest();
     bool all_ok = true;
-    for (const auto& e : endorsements) {
-      const crypto::Certificate* cert = msps.CachedCertificate(e.endorser_cert);
-      if (cert == nullptr ||
-          !crypto::VerifyDigest(cert->subject_public_key, endorsed,
-                                e.signature)) {
+    for (std::size_t i = 0; i < endorsements.size(); ++i) {
+      const crypto::Certificate* cert =
+          msps.CachedCertificate(endorsements[i].endorser_cert);
+      if (cert == nullptr || !EndorsementValid(i, *cert)) {
         all_ok = false;  // nullopt: bad endorsement
         break;
       }
@@ -104,6 +100,8 @@ void TransactionEnvelope::InvalidateCaches() const {
   endorsed_payload_cache_.Invalidate();
   signed_body_digest_.Invalidate();
   endorsed_payload_digest_.Invalidate();
+  client_verdict_.Reset();
+  for (const auto& e : endorsements) e.verdict_.Reset();
   signers_.Reset();
 }
 

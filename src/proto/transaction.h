@@ -64,21 +64,46 @@ struct TransactionEnvelope {
   /// SHA-256 of EndorsedPayloadBytes(), memoized for VSCC.
   [[nodiscard]] const crypto::Digest& EndorsedPayloadDigest() const;
 
+  /// Whether client_signature verifies over SignedBodyDigest() under
+  /// `creator`, the certificate deserialized from creator_cert. Memoized
+  /// (crypto::SignatureVerdict): every peer checks the same shared
+  /// envelope, and copies and InvalidateCaches() reset the verdict.
+  [[nodiscard]] bool ClientSignatureValid(
+      const crypto::Certificate& creator) const {
+    return client_verdict_.Check(
+        creator.subject_binder, [this] { return SignedBodyDigest(); },
+        client_signature);
+  }
+
+  /// Whether endorsements[i].signature verifies over
+  /// EndorsedPayloadDigest() under `endorser`, the certificate deserialized
+  /// from endorsements[i].endorser_cert. Memoized like
+  /// ClientSignatureValid.
+  [[nodiscard]] bool EndorsementValid(
+      std::size_t i, const crypto::Certificate& endorser) const {
+    const Endorsement& e = endorsements[i];
+    return e.verdict_.Check(
+        endorser.subject_binder, [this] { return EndorsedPayloadDigest(); },
+        e.signature);
+  }
+
   /// Policy-independent half of VSCC, memoized on the shared envelope:
-  /// validates the client signature and every endorsement signature against
-  /// `msps` (identity cache + digest-level verify) and yields the verified
-  /// endorser principals — or nullopt if any signature fails. Every peer
-  /// validates every envelope, and the verdict over the same immutable
-  /// bytes and the same trust registry is identical, so recomputation is
-  /// pure redundancy; the result is recomputed if a different registry is
-  /// passed, and copies/InvalidateCaches() reset it.
+  /// resolves the creator and every endorser against `msps`, checks their
+  /// signatures (ClientSignatureValid, EndorsementValid) and yields the
+  /// verified endorser principals — or nullopt if any check fails. Every
+  /// peer validates every envelope against the same trust registry, so the
+  /// result is kept; it is recomputed if a different registry is passed,
+  /// and copies/InvalidateCaches() reset it.
   [[nodiscard]] const std::optional<std::vector<crypto::Principal>>&
   VerifiedSigners(const crypto::MspRegistry& msps) const;
 
-  /// Drops memoized serializations after an in-place mutation (tests).
+  /// Drops memoized serializations and signature verdicts after an
+  /// in-place mutation (tests).
   void InvalidateCaches() const;
 
  private:
+  crypto::SignatureVerdict client_verdict_;
+
   CachedBytes signed_body_cache_;
   CachedBytes serialized_cache_;
   CachedBytes endorsed_payload_cache_;

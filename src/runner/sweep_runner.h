@@ -10,9 +10,12 @@
 // a serial run; only host wall-clock differs.
 //
 // Shared host state the points touch concurrently (and which is therefore
-// thread-safe): the striped crypto::VerifyCache, the SHA-256 dispatch
-// once-flag, and the immutable default calibration table. Anything else a
-// point needs it owns.
+// thread-safe): the SHA-256 dispatch once-flag, the immutable default
+// calibration table, the committer's signer precompute pool, the striped
+// install locks of proto::CachedValue and the MspIdentityCache counters
+// (atomics). None of it holds a verdict or a result: signature verdicts
+// live on each point's own wire objects. Anything else a point needs it
+// owns.
 #pragma once
 
 #include <string>

@@ -97,7 +97,6 @@ Json Doc() {
   doc["bench"] = "fig2_overall_throughput";
   Json config = Json::MakeObject();
   config["mode"] = "smoke";
-  config["crypto_cache"] = true;
   config["reps"] = 3;
   doc["config"] = config;
   doc["deterministic"] = true;

@@ -4,10 +4,11 @@
 // the unoptimized committer (except the one documented shortcircuit
 // divergence pinned below).
 //
-// The CommitterVsccWorkers suites run under TSan in CI (ctest -R matches
-// "VsccWorkers"): the parallel-VSCC knob is the one committer path that
-// fans host work across threads (the signer precompute pool against the
-// shared MspRegistry).
+// The CommitterVsccWorkers and SignatureVerdict suites run under TSan in
+// CI (ctest -R matches "VsccWorkers|SignatureVerdict"): the parallel-VSCC
+// knob is the one committer path that fans host work across threads (the
+// signer precompute pool against the shared MspRegistry and the
+// envelopes' signature verdicts).
 #include "peer/committer.h"
 
 #include <gtest/gtest.h>
@@ -16,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "crypto/verify_cache.h"
 #include "fabric/channel.h"
 #include "fabric/optimizations.h"
 #include "policy/parser.h"
@@ -149,12 +149,7 @@ std::pair<CodeSeq, CodeSeq> RunBoth(const fabric::OptimizationOptions& opt) {
   return {base_codes, opt_codes};
 }
 
-class CommitterVsccWorkersTest : public ::testing::Test {
- protected:
-  void TearDown() override { crypto::VerifyCache::Instance().SetEnabled(true); }
-};
-
-TEST_F(CommitterVsccWorkersTest, VerdictsMatchSerialValidation) {
+TEST(CommitterVsccWorkersTest, VerdictsMatchSerialValidation) {
   fabric::OptimizationOptions opt;
   opt.vscc_workers = 4;
   const auto [base, with] = RunBoth(opt);
@@ -165,7 +160,7 @@ TEST_F(CommitterVsccWorkersTest, VerdictsMatchSerialValidation) {
   EXPECT_EQ(with[1][3], proto::ValidationCode::kDuplicateTxId);
 }
 
-TEST_F(CommitterVsccWorkersTest, CommitOrderSurvivesOutOfOrderDelivery) {
+TEST(CommitterVsccWorkersTest, CommitOrderSurvivesOutOfOrderDelivery) {
   // Parallel VSCC must not reorder commits: blocks delivered out of order
   // still commit 0, 1, 2.
   Fixture f;
@@ -188,7 +183,7 @@ TEST_F(CommitterVsccWorkersTest, CommitOrderSurvivesOutOfOrderDelivery) {
   EXPECT_TRUE(f.committer->Chain().Audit().ok);
 }
 
-TEST_F(CommitterVsccWorkersTest, WideBlockExercisesThePrecomputePool) {
+TEST(CommitterVsccWorkersTest, WideBlockExercisesThePrecomputePool) {
   // 32 transactions in one block drive the host-side signer precompute
   // across the pool threads (the TSan target: concurrent VerifiedSigners
   // against the shared, mutexed MspRegistry).
@@ -205,6 +200,54 @@ TEST_F(CommitterVsccWorkersTest, WideBlockExercisesThePrecomputePool) {
   const auto codes = f.Commit(f.MakeBlock(std::move(txs)));
   ASSERT_EQ(codes.size(), 32u);
   for (const auto c : codes) EXPECT_EQ(c, proto::ValidationCode::kValid);
+}
+
+TEST(SignatureVerdict, PoolWarmedVerdictsFeedTheShortCircuitPlan) {
+  // Two committers validate one shared block, as the peers of a channel
+  // do. The first runs the --opt-vscc-workers precompute, which writes the
+  // envelopes' signature verdicts from the pool threads; the second plans
+  // short-circuit VSCC on the DES thread and reads those verdicts (the TSan
+  // target: verdict writes on pool threads, reads after the join).
+  Fixture f;
+  fabric::OptimizationOptions pool;
+  pool.vscc_workers = 4;
+  f.committer->SetOptimizations(pool);
+  Committer planner(f.env, *f.machine, *f.disk, f.msps,
+                    fabric::DefaultCalibration(), nullptr);
+  planner.SetPolicy("cc", policy::MustParsePolicy("OR('Org1MSP.peer',"
+                                                  "'Org2MSP.peer')"));
+  planner.SetOptimizations(AllKnobs());
+
+  std::vector<proto::TransactionEnvelope> txs;
+  for (int i = 0; i < 16; ++i) {
+    txs.push_back(f.MakeTx("t" + std::to_string(i),
+                           {i % 2 == 0 ? f.peer1.get() : f.peer2.get()},
+                           {"k" + std::to_string(i)}));
+  }
+  // A bad client signature and a forged endorsement the OR prefix needs.
+  txs[3].client_signature.bytes[0] ^= 1;
+  txs[3].InvalidateCaches();
+  txs[6].endorsements[0].signature.bytes[5] ^= 1;
+  txs[6].client_signature = f.client->Sign([&] {
+    txs[6].InvalidateCaches();
+    return txs[6].SignedBody();
+  }());
+  const proto::BlockPtr block = f.MakeBlock(std::move(txs));
+
+  const auto warmed = f.Commit(block);
+  std::vector<proto::ValidationCode> planned;
+  planner.OnBlock(block,
+                  [&](const CommittedBlock& cb) { planned = cb.codes; });
+  f.env.Sched().RunUntil(f.env.Now() + sim::FromSeconds(30));
+
+  ASSERT_EQ(planned.size(), 16u);
+  EXPECT_EQ(planned, warmed);
+  for (std::size_t i = 0; i < planned.size(); ++i) {
+    EXPECT_EQ(planned[i], i == 3 || i == 6
+                              ? proto::ValidationCode::kBadSignature
+                              : proto::ValidationCode::kValid)
+        << i;
+  }
 }
 
 TEST(CommitterOptimizations, BulkCommitEndStateIdentical) {

@@ -58,6 +58,53 @@ TEST(Signature, DigestApiMatchesByteApi) {
   EXPECT_TRUE(VerifyDigest(kp.PublicKey(), Hash(msg), kp.Sign(msg)));
 }
 
+TEST(Signature, ForgedDigestSignatureIsRejected) {
+  const KeyPair kp = KeyPair::Derive("honest-signer");
+  const Digest digest = Hash(Msg("transfer 10 from a to b"));
+  const Signature honest = kp.SignDigest(digest);
+  ASSERT_TRUE(VerifyDigest(kp.PublicKey(), digest, honest));
+  for (std::size_t i = 0; i < 8; ++i) {
+    Signature forged = honest;
+    forged.bytes[i * 8] ^= 0x01;
+    EXPECT_FALSE(VerifyDigest(kp.PublicKey(), digest, forged)) << i;
+  }
+}
+
+TEST(Signature, VerdictBindsKeyDigestAndSignature) {
+  // Varying any one of (public key, message digest, signature) away from
+  // an honest triple must fail.
+  const KeyPair kp = KeyPair::Derive("honest-signer");
+  const KeyPair other = KeyPair::Derive("someone-else");
+  const Digest digest = Hash(Msg("payload-a"));
+  const Digest other_digest = Hash(Msg("payload-b"));
+  const Signature honest = kp.SignDigest(digest);
+  Signature forged = honest;
+  forged.bytes[0] ^= 0xFF;
+
+  ASSERT_TRUE(VerifyDigest(kp.PublicKey(), digest, honest));
+  EXPECT_FALSE(VerifyDigest(kp.PublicKey(), digest, forged));
+  EXPECT_FALSE(VerifyDigest(kp.PublicKey(), other_digest, honest));
+  EXPECT_FALSE(VerifyDigest(other.PublicKey(), digest, honest));
+}
+
+TEST(Signature, BoundVerdictsMatchTheReference) {
+  // VerifyDigest, and VerifyDigestBound with the key's binder, agree with
+  // the reference verdict (the signer's own signature over the digest)
+  // for honest and forged signatures alike.
+  const KeyPair kp = KeyPair::Derive("honest-signer");
+  const Digest binder = DeriveBinder(kp.PublicKey());
+  for (const char* m : {"payload", "", "another payload"}) {
+    const Digest digest = Hash(Msg(m));
+    Signature forged = kp.SignDigest(digest);
+    forged.bytes[63] ^= 0x80;
+    for (const Signature& sig : {kp.SignDigest(digest), forged}) {
+      const bool reference = kp.SignDigest(digest) == sig;
+      EXPECT_EQ(VerifyDigest(kp.PublicKey(), digest, sig), reference) << m;
+      EXPECT_EQ(VerifyDigestBound(binder, digest, sig), reference) << m;
+    }
+  }
+}
+
 TEST(Signature, SerializeRoundTrip) {
   const KeyPair kp = KeyPair::Derive("dave");
   const Signature sig = kp.Sign(Msg("x"));
