@@ -11,7 +11,7 @@ MspIdentityCache::Result MspIdentityCache::Lookup(proto::BytesView cert_bytes) {
   if (auto it = entries_.find(key); it != entries_.end()) {
     ++hits_;
     global_hits_.fetch_add(1, std::memory_order_relaxed);
-    return Result{it->second ? &*it->second : nullptr, true};
+    return Result{it->second, true};
   }
 
   ++misses_;
@@ -22,14 +22,13 @@ MspIdentityCache::Result MspIdentityCache::Lookup(proto::BytesView cert_bytes) {
     entries_.clear();
   }
 
-  // Verify honestly: deserialize, then identity + chain via the registry
-  // (msp id -> root CA -> CA signature over the cert body). An invalid
-  // certificate is cached as invalid — a forged cert can only ever install
-  // or hit a negative entry under its own full-bytes key.
-  std::optional<Certificate> parsed = Certificate::Deserialize(cert_bytes);
-  if (parsed && !msps_.ValidateCertificate(*parsed)) parsed.reset();
-  auto [it, inserted] = entries_.emplace(key, std::move(parsed));
-  return Result{it->second ? &*it->second : nullptr, false};
+  // Verify honestly through the registry: deserialize, then identity +
+  // chain (msp id -> root CA -> CA signature over the cert body). An
+  // invalid certificate is cached as invalid — a forged cert can only ever
+  // install or hit a negative entry under its own full-bytes key.
+  const Certificate* cert = msps_.CachedCertificate(cert_bytes);
+  entries_.emplace(key, cert);
+  return Result{cert, false};
 }
 
 }  // namespace fabricsim::crypto

@@ -12,17 +12,23 @@
 // themselves are memoized on the carrying objects, crypto::
 // SignatureVerdict; that memo saves host time only.)
 //
-// Poisoning discipline (PR 8): the key is the FULL serialized certificate —
+// The cache holds only the hit/miss state of the model: which certificate
+// byte strings it has seen since the last wholesale clear, each with the
+// registry's verdict for it. The verified certificate itself always lives
+// in MspRegistry::CachedCertificate, whose entries are node-stable and
+// never erased, so a Result's pointer stays valid across later Lookups and
+// clears.
+//
+// Poisoning discipline: the key is the FULL serialized certificate —
 // no digest truncation — so a forged certificate can never alias onto an
 // honestly cached identity, and an invalid certificate is cached as invalid
-// (nullopt), never upgraded. Validation itself is MspRegistry::
+// (nullptr), never upgraded. Validation itself is MspRegistry::
 // ValidateCertificate: msp-id → root-of-trust → CA signature over the cert
 // body, i.e. the cached verdict binds identity + cert chain.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <optional>
 
 #include "crypto/ca.h"
 #include "proto/bytes.h"
@@ -35,8 +41,9 @@ class MspIdentityCache {
 
   struct Result {
     /// Verified certificate, or nullptr if the bytes do not deserialize to
-    /// a certificate the registry's CAs vouch for. Points into the cache
-    /// (valid until the next Lookup) or into the registry's own memo.
+    /// a certificate the registry's CAs vouch for. Points into the
+    /// registry's own memo (== MspRegistry::CachedCertificate), so it lives
+    /// as long as the registry.
     const Certificate* cert = nullptr;
     /// True iff the verdict came from this cache (the caller charges the
     /// cheaper vscc_cached_* simulated cost only then).
@@ -76,9 +83,10 @@ class MspIdentityCache {
 
  private:
   const MspRegistry& msps_;
-  // Full cert bytes -> verified cert (nullopt = verified invalid). The full
-  // key means a hash collision can only slow a lookup, never flip it.
-  CertBytesMap<std::optional<Certificate>> entries_;
+  // Full cert bytes -> the registry's verdict for them (nullptr = invalid).
+  // The full key means a hash collision can only slow a lookup, never flip
+  // it.
+  CertBytesMap<const Certificate*> entries_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;

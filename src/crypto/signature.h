@@ -11,7 +11,6 @@
 // scope for a performance reproduction and documented in DESIGN.md.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -88,10 +87,8 @@ Digest DeriveBinder(const Digest& public_key);
 /// the certificate the carrier holds, the digest and signature from its
 /// other fields. Copying or assigning resets it, as proto::CachedValue does,
 /// so a tampered copy verifies afresh; an in-place mutation must Reset() it
-/// through the carrier's InvalidateCaches(). Thread-safe for concurrent
-/// Check (the --opt-vscc-workers precompute pool checks shared envelopes
-/// from several host threads): racing checks compute the same pure verdict
-/// and store the same value.
+/// through the carrier's InvalidateCaches(). Single-threaded, like the
+/// experiment that owns the carrier.
 class SignatureVerdict {
  public:
   SignatureVerdict() = default;
@@ -106,20 +103,20 @@ class SignatureVerdict {
   template <typename DigestFn>
   bool Check(const Digest& binder, DigestFn&& msg_digest,
              const Signature& sig) const {
-    const std::uint8_t known = state_.load(std::memory_order_acquire);
-    if (known != kUnknown) return known == kValid;
-    const bool ok = VerifyDigestBound(binder, msg_digest(), sig);
-    state_.store(ok ? kValid : kInvalid, std::memory_order_release);
-    return ok;
+    if (state_ == kUnknown) {
+      state_ = VerifyDigestBound(binder, msg_digest(), sig) ? kValid
+                                                            : kInvalid;
+    }
+    return state_ == kValid;
   }
 
-  void Reset() const { state_.store(kUnknown, std::memory_order_relaxed); }
+  void Reset() const { state_ = kUnknown; }
 
  private:
   static constexpr std::uint8_t kUnknown = 0;
   static constexpr std::uint8_t kValid = 1;
   static constexpr std::uint8_t kInvalid = 2;
-  mutable std::atomic<std::uint8_t> state_{kUnknown};
+  mutable std::uint8_t state_ = kUnknown;
 };
 
 /// Nominal CPU costs on the baseline machine (i7-2600), calibrated to

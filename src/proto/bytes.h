@@ -6,9 +6,7 @@
 // and (2) stable byte strings for hashing and signing.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -51,18 +49,6 @@ class Writer {
   Bytes buf_;
 };
 
-namespace detail {
-
-/// Global striped locks for CachedValue installs. Stripe by object address:
-/// embedding a mutex per cache slot would bloat every wire struct, and
-/// installs are rare (once per cached value), so contention is negligible.
-inline std::mutex& CacheStripe(const void* p) {
-  static std::mutex stripes[64];
-  return stripes[(reinterpret_cast<std::uintptr_t>(p) >> 6) & 63];
-}
-
-}  // namespace detail
-
 /// Lazy memoization slot for logically-immutable wire structures.
 ///
 /// Wire structs are built once and then shared read-only (blocks and
@@ -71,16 +57,8 @@ inline std::mutex& CacheStripe(const void* p) {
 /// RESETS the cache: a copy that is then mutated (e.g. a tampering test)
 /// recomputes honestly.
 ///
-/// Thread-safe for concurrent Get: the committer's --opt-vscc-workers
-/// precompute pool reads the same shared envelopes from several host threads
-/// at once. The fast path is one acquire load;
-/// on a miss the value is computed OUTSIDE the lock (build chains may nest
-/// — signers over digest over serialized bytes — so holding a stripe while
-/// computing could deadlock on stripe ordering) and installed first-writer
-/// -wins, which is sound because builds are deterministic functions of the
-/// immutable struct, so racing computes produce identical values.
-/// Invalidate/copy/assign are NOT concurrency-safe — they belong to
-/// single-threaded construction and test phases, per the contract above.
+/// Not thread-safe, by design: an experiment runs on one host thread, and
+/// host-parallel sweep points never share wire objects.
 template <typename T>
 class CachedValue {
  public:
@@ -99,24 +77,14 @@ class CachedValue {
   /// Returns the cached value, computing it via `build` on first use.
   template <typename F>
   const T& Get(F&& build) const {
-    if (ready_.load(std::memory_order_acquire)) return *cached_;
-    T fresh = build();
-    std::lock_guard<std::mutex> lock(detail::CacheStripe(this));
-    if (!ready_.load(std::memory_order_relaxed)) {
-      cached_ = std::move(fresh);
-      ready_.store(true, std::memory_order_release);
-    }
+    if (!cached_) cached_ = build();
     return *cached_;
   }
 
-  void Invalidate() const {
-    ready_.store(false, std::memory_order_relaxed);
-    cached_.reset();
-  }
+  void Invalidate() const { cached_.reset(); }
 
  private:
   mutable std::optional<T> cached_;
-  mutable std::atomic<bool> ready_{false};
 };
 
 using CachedBytes = CachedValue<Bytes>;

@@ -60,37 +60,26 @@ const crypto::Digest& TransactionEnvelope::EndorsedPayloadDigest() const {
 
 const std::optional<std::vector<crypto::Principal>>&
 TransactionEnvelope::VerifiedSigners(const crypto::MspRegistry& msps) const {
-  if (signers_.registry.load(std::memory_order_acquire) == &msps) {
-    return signers_.value;
-  }
+  if (signers_.registry == &msps) return signers_.value;
 
-  // Verify OUTSIDE any lock: the digest getters take CachedValue stripes of
-  // their own, and racing verifications of the same immutable envelope
-  // against the same registry reach the same verdict, so first-writer-wins
-  // below is sound.
-  std::optional<std::vector<crypto::Principal>> fresh;  // nullopt: bad sig
-  const crypto::Certificate* client_cert = msps.CachedCertificate(creator_cert);
-  if (client_cert != nullptr && ClientSignatureValid(*client_cert)) {
+  // nullopt: a bad client signature or endorsement.
+  auto verify = [&]() -> std::optional<std::vector<crypto::Principal>> {
+    const crypto::Certificate* client = msps.CachedCertificate(creator_cert);
+    if (client == nullptr || !ClientSignatureValid(*client)) {
+      return std::nullopt;
+    }
     std::vector<crypto::Principal> signers;
     signers.reserve(endorsements.size());
-    bool all_ok = true;
     for (std::size_t i = 0; i < endorsements.size(); ++i) {
       const crypto::Certificate* cert =
           msps.CachedCertificate(endorsements[i].endorser_cert);
-      if (cert == nullptr || !EndorsementValid(i, *cert)) {
-        all_ok = false;  // nullopt: bad endorsement
-        break;
-      }
+      if (cert == nullptr || !EndorsementValid(i, *cert)) return std::nullopt;
       signers.push_back(crypto::Principal{cert->msp_id, cert->role});
     }
-    if (all_ok) fresh = std::move(signers);
-  }
-
-  std::lock_guard<std::mutex> lock(detail::CacheStripe(&signers_));
-  if (signers_.registry.load(std::memory_order_relaxed) != &msps) {
-    signers_.value = std::move(fresh);
-    signers_.registry.store(&msps, std::memory_order_release);
-  }
+    return signers;
+  };
+  signers_.value = verify();
+  signers_.registry = &msps;
   return signers_.value;
 }
 

@@ -7,7 +7,6 @@
 // and what committing peers validate.
 #pragma once
 
-#include <atomic>
 #include <optional>
 #include <string>
 #include <vector>
@@ -111,12 +110,9 @@ struct TransactionEnvelope {
   CachedValue<crypto::Digest> endorsed_payload_digest_;
 
   // Signer-verification memo with the same copy-resets semantics as
-  // CachedValue (a mutated copy must re-verify honestly). The registry
-  // pointer doubles as the atomic ready flag — it is set (release) only
-  // after `value` is installed, so the --opt-vscc-workers precompute threads
-  // warming the same shared envelope are safe; negative results (nullopt
-  // value with the registry set) stay cached. Like CachedValue, resets are
-  // reserved for single-threaded phases.
+  // CachedValue (a mutated copy must re-verify honestly), keyed by the
+  // registry it was computed against. Negative results (nullopt value with
+  // the registry set) stay cached.
   struct SignerCache {
     SignerCache() = default;
     SignerCache(const SignerCache&) noexcept {}
@@ -130,10 +126,10 @@ struct TransactionEnvelope {
       return *this;
     }
     void Reset() const {
-      registry.store(nullptr, std::memory_order_relaxed);
+      registry = nullptr;
       value.reset();
     }
-    mutable std::atomic<const void*> registry{nullptr};
+    mutable const crypto::MspRegistry* registry = nullptr;
     mutable std::optional<std::vector<crypto::Principal>> value;
   };
   SignerCache signers_;

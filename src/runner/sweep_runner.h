@@ -11,11 +11,9 @@
 //
 // Shared host state the points touch concurrently (and which is therefore
 // thread-safe): the SHA-256 dispatch once-flag, the immutable default
-// calibration table, the committer's signer precompute pool, the striped
-// install locks of proto::CachedValue and the MspIdentityCache counters
-// (atomics). None of it holds a verdict or a result: signature verdicts
-// live on each point's own wire objects. Anything else a point needs it
-// owns.
+// calibration table and the MspIdentityCache counters (atomics). None of it
+// holds a verdict or a result. Each point runs on one host thread and owns
+// everything else it touches, its wire objects and their memos included.
 #pragma once
 
 #include <string>

@@ -1,7 +1,8 @@
 // Cache-poisoning negative tests for the MSP identity-verification cache —
 // the --opt-msp-cache knob's security discipline.
 //
-// The cache memoizes full serialized certificate bytes -> verified identity.
+// The cache keys full serialized certificate bytes to the registry's
+// verified identity.
 // The security property under test: a forged certificate can never produce —
 // or hit — a cached valid identity, because the key is the untruncated
 // serialization and the cached verdict binds identity + cert chain
@@ -109,6 +110,33 @@ TEST_F(MspCacheTest, WholesaleClearRecomputesHonestly) {
   const auto after = cache.Lookup(forged_bytes);
   EXPECT_EQ(after.cert, nullptr);
   EXPECT_FALSE(after.hit);  // the clear dropped it; recomputed honestly
+}
+
+TEST_F(MspCacheTest, CertificatePointerSurvivesWholesaleClear) {
+  // The committer's VSCC plan holds the creator's certificate across the
+  // endorsers' Lookups, any of which may reach the bound and clear the
+  // cache. The pointer must therefore come from the registry's memo, which
+  // never erases, not from the cache's own entries.
+  MspIdentityCache cache(msps_);
+  const proto::Bytes honest_bytes = honest_.Serialize();
+  const Certificate* held = cache.Lookup(honest_bytes).cert;
+  ASSERT_NE(held, nullptr);
+  ASSERT_EQ(held, msps_.CachedCertificate(honest_bytes));
+
+  for (std::size_t i = 0; cache.Evictions() == 0; ++i) {
+    ASSERT_LT(i, 2 * MspIdentityCache::kMaxEntries);
+    const Certificate c =
+        org_->Enroll("m" + std::to_string(i), Role::kClient).Cert();
+    ASSERT_EQ(cache.Lookup(c.Serialize()).cert,
+              msps_.CachedCertificate(c.Serialize()));
+  }
+
+  EXPECT_EQ(held, msps_.CachedCertificate(honest_bytes));
+  EXPECT_EQ(held->subject, "peer0");
+  EXPECT_EQ(held->msp_id, "Org1MSP");
+  const auto after = cache.Lookup(honest_bytes);
+  EXPECT_FALSE(after.hit);  // the clear dropped the key, not the identity
+  EXPECT_EQ(after.cert, held);
 }
 
 TEST_F(MspCacheTest, StatsFeedTheGlobalAggregates) {
