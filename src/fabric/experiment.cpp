@@ -21,18 +21,43 @@ const char* PhaseOfMachine(std::string_view name) {
   return "order";  // orderer-, broker-, zk- machines
 }
 
-std::vector<obs::ResourceUsage> CollectUsage(FabricNetwork& net,
-                                             sim::SimTime t0, sim::SimTime t1) {
-  std::vector<obs::ResourceUsage> usage;
+/// The stations attribution reports on: every machine's CPU, then the
+/// validator's ledger disk.
+struct Station {
+  std::string name;
+  const char* phase;
+  const sim::Cpu* cpu;
+};
+
+std::vector<Station> Stations(FabricNetwork& net) {
+  std::vector<Station> out;
   sim::Environment& env = net.Env();
   for (std::size_t i = 0; i < env.MachineCount(); ++i) {
     const sim::Machine& m = env.MachineAt(i);
-    usage.push_back(
-        {m.Name(), PhaseOfMachine(m.Name()), m.GetCpu().Utilization(t0, t1)});
+    out.push_back({m.Name(), PhaseOfMachine(m.Name()), &m.GetCpu()});
   }
-  const peer::PeerNode& validator = net.ValidatorPeer();
-  usage.push_back({"validator disk", "validate",
-                   validator.Disk().Utilization(t0, t1)});
+  out.push_back({"validator disk", "validate", &net.ValidatorPeer().Disk()});
+  return out;
+}
+
+/// Each station's utilization over [t0, t1], from its busy time read at
+/// both edges (`busy0`, `busy1`, in Stations() order).
+std::vector<obs::ResourceUsage> CollectUsage(
+    FabricNetwork& net, sim::SimTime t0, sim::SimTime t1,
+    const std::vector<sim::SimDuration>& busy0,
+    const std::vector<sim::SimDuration>& busy1) {
+  std::vector<obs::ResourceUsage> usage;
+  const std::vector<Station> stations = Stations(net);
+  for (std::size_t i = 0; i < stations.size(); ++i) {
+    double u = 0.0;
+    if (t1 > t0) {
+      const double capacity =
+          static_cast<double>(t1 - t0) * stations[i].cpu->Cores();
+      const double used = static_cast<double>(busy1[i] - busy0[i]);
+      u = used > capacity ? 1.0 : used / capacity;
+    }
+    usage.push_back({stations[i].name, stations[i].phase, u});
+  }
   return usage;
 }
 
@@ -136,15 +161,27 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
                          net_options.tracer == nullptr && schedule.Empty() &&
                          !config.check_invariants &&
                          !net_options.recovery.enabled;
-  if (streaming) {
-    net.Tracker().EnableStreaming(measure_start, window_end);
-    // The per-job busy-mark history is the one remaining O(jobs) allocation;
-    // its only consumer (attribution's windowed utilization) is excluded by
-    // the gate above, so drop it too and RSS stays flat at any run length.
-    for (std::size_t i = 0; i < net.Env().MachineCount(); ++i) {
-      net.Env().MachineAt(i).GetCpu().SetBoundedMarks(true);
-    }
-    net.ValidatorPeer().MutableDisk().SetBoundedMarks(true);
+  if (streaming) net.Tracker().EnableStreaming(measure_start, window_end);
+
+  // Attribution's windowed utilization: every station's busy time, read at
+  // both window edges by observer events (which change no simulated
+  // result).
+  std::vector<sim::SimDuration> busy_at_start;
+  std::vector<sim::SimDuration> busy_at_end;
+  if (net_options.tracer != nullptr) {
+    const auto read_busy_at = [&net](sim::SimTime t,
+                                     std::vector<sim::SimDuration>& out) {
+      net.Env().Sched().ScheduleObserverAt(
+          t,
+          [&net, &out] {
+            for (const Station& st : Stations(net)) {
+              out.push_back(st.cpu->BusyTime());
+            }
+          },
+          "obs/busy_time");
+    };
+    read_busy_at(measure_start, busy_at_start);
+    read_busy_at(window_end, busy_at_end);
   }
 
   // Host profiler: external one wins (the CLI exports its Chrome trace);
@@ -235,7 +272,8 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   if (config.network.tracer != nullptr) {
     out.attribution = obs::BuildAttribution(
         *config.network.tracer, net.Tracker(), measure_start, window_end,
-        CollectUsage(net, measure_start, window_end));
+        CollectUsage(net, measure_start, window_end, busy_at_start,
+                     busy_at_end));
   }
   if (!schedule.Empty()) {
     out.fault_log = injector.Log();

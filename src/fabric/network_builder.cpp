@@ -46,49 +46,26 @@ FabricNetwork::FabricNetwork(NetworkOptions options)
   ApplyOverloadProtection();
   ApplyRetention();
   ApplyFailpoints();
-  ApplyOptimizations();
-}
-
-void FabricNetwork::ApplyOptimizations() {
-  const OptimizationOptions& opt = options_.optimizations;
-  if (!opt.Any()) return;  // knobs-off never touches a committer
-  for (auto& p : peers_) p->SetOptimizations(opt);
 }
 
 void FabricNetwork::ApplyFailpoints() {
   const FailpointOptions& fp = options_.failpoints;
-  if (!fp.Any()) return;
-  if (fp.disable_committer_dedup) {
-    for (auto& p : peers_) p->SetCommitterDedupDisabled(true);
-  }
+  // The committer failpoints are CommitterOptions (BuildPeers); attestation
+  // is suppressed at Start().
   if (fp.client_silent_drop_every > 0) {
     for (auto& c : clients_) {
       c->FailpointSilentDropEvery(fp.client_silent_drop_every);
-    }
-  }
-  if (fp.disable_byzantine_defense) {
-    // Attestation is suppressed at Start(); also drop the committer's
-    // commit-time data-hash re-check so a tampered block reaches the
-    // ledger and the no-forged-commit invariant can be shown to fire.
-    for (auto& p : peers_) {
-      for (int c = 0; c < options_.channels; ++c) {
-        if (p->HasChannel(ChannelId(c))) {
-          p->GetCommitter(ChannelId(c)).SetDataHashCheckDisabled(true);
-        }
-      }
     }
   }
 }
 
 void FabricNetwork::ApplyRetention() {
   const RetentionOptions& r = options_.retention;
-  if (r.ledger_blocks == 0 && r.osn_history_blocks == 0) return;
-  for (auto& p : peers_) p->SetLedgerRetention(r.ledger_blocks);
-  if (r.osn_history_blocks > 0) {
-    for (int c = 0; c < ChannelCount(); ++c) {
-      for (ordering::OsnBase* osn : Osns(c)) {
-        osn->SetHistoryBlocks(r.osn_history_blocks);
-      }
+  // ledger_blocks is each committer's CommitterOptions (BuildPeers).
+  if (r.osn_history_blocks == 0) return;
+  for (int c = 0; c < ChannelCount(); ++c) {
+    for (ordering::OsnBase* osn : Osns(c)) {
+      osn->SetHistoryBlocks(r.osn_history_blocks);
     }
   }
 }
@@ -101,6 +78,18 @@ std::string FabricNetwork::ChannelId(int channel) const {
 void FabricNetwork::BuildPeers() {
   const auto& topo = options_.topology;
   endorsing_count_ = topo.endorsing_peers;
+
+  peer::CommitterOptions committer;
+  if (options_.overload.enabled) {
+    committer.max_pipeline_blocks = options_.overload.committer_max_blocks;
+  }
+  committer.ledger_retention = options_.retention.ledger_blocks;
+  committer.optimizations = options_.optimizations;
+  committer.dedup_disabled = options_.failpoints.disable_committer_dedup;
+  // Without the Byzantine defenses a tampered block must reach the ledger,
+  // so the no-forged-commit invariant can be shown to fire.
+  committer.data_hash_check_disabled =
+      options_.failpoints.disable_byzantine_defense;
 
   auto setup_channels = [this](peer::PeerNode& peer) {
     for (int c = 0; c < options_.channels; ++c) {
@@ -126,7 +115,7 @@ void FabricNetwork::BuildPeers() {
     peers_.push_back(std::make_unique<peer::PeerNode>(
         *env_, machine, std::move(identity), msps_, chaincodes_,
         options_.calibration, ChannelId(0),
-        /*tracker=*/nullptr, /*endorsing=*/true, i));
+        /*tracker=*/nullptr, /*endorsing=*/true, i, committer));
     setup_channels(*peers_.back());
   }
   for (int i = 0; i < topo.committing_peers; ++i) {
@@ -141,7 +130,7 @@ void FabricNetwork::BuildPeers() {
     peers_.push_back(std::make_unique<peer::PeerNode>(
         *env_, machine, std::move(identity), msps_, chaincodes_,
         options_.calibration, ChannelId(0), tracker,
-        /*endorsing=*/false, endorsing_count_ + i));
+        /*endorsing=*/false, endorsing_count_ + i, committer));
     setup_channels(*peers_.back());
   }
 }
@@ -411,7 +400,6 @@ void FabricNetwork::ApplyOverloadProtection() {
   }
   for (auto& p : peers_) {
     if (p->IsEndorsing()) p->SetEndorseAdmission(endorse_cfg, ov.retry_after);
-    p->SetCommitterPipelineLimit(ov.committer_max_blocks);
   }
 }
 

@@ -94,11 +94,13 @@ struct OverloadOptions {
 /// (the paper's measurement regime, and what attribution/invariants need).
 /// With bounds set, per-run memory stays O(retained state) instead of
 /// O(total transactions) — pair with ExperimentConfig::streaming_stats for
-/// flat-RSS million-transaction runs (bench/soak.cpp).
+/// flat-RSS million-transaction runs (bench/soak.cpp). Both bounds are
+/// fixed when the network is built.
 struct RetentionOptions {
-  /// Blocks kept resident per peer ledger (0 = all). Shrinks the committer's
-  /// duplicate-tx-id detection horizon and the key history to the retained
-  /// window.
+  /// Blocks kept resident per peer ledger (0 = all), on every channel; it
+  /// becomes each committer's CommitterOptions::ledger_retention. Shrinks
+  /// the committer's duplicate-tx-id detection horizon and the key history
+  /// to the retained window.
   std::uint64_t ledger_blocks = 0;
   /// Delivered blocks kept per OSN for backfill seeks (0 = all).
   std::size_t osn_history_blocks = 0;
@@ -119,11 +121,6 @@ struct FailpointOptions {
   /// and the no-forged-commit / no-surviving-fork invariants can be shown
   /// to fire.
   bool disable_byzantine_defense = false;
-
-  [[nodiscard]] bool Any() const {
-    return disable_committer_dedup || client_silent_drop_every > 0 ||
-           disable_byzantine_defense;
-  }
 };
 
 struct NetworkOptions {
@@ -234,7 +231,6 @@ class FabricNetwork {
   void ApplyOverloadProtection();
   void ApplyRetention();
   void ApplyFailpoints();
-  void ApplyOptimizations();
   [[nodiscard]] sim::NodeId OsnNetId(int channel, std::size_t index) const;
 
   NetworkOptions options_;

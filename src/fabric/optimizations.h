@@ -35,10 +35,6 @@ struct OptimizationOptions {
   /// signatures once the policy is satisfied, and skip them all when the
   /// endorsement set cannot satisfy it (policy::SatisfiedPrefix).
   bool policy_shortcircuit = false;
-
-  [[nodiscard]] bool Any() const {
-    return msp_cache || vscc_workers > 0 || bulk_commit || policy_shortcircuit;
-  }
 };
 
 }  // namespace fabricsim::fabric

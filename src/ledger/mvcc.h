@@ -38,10 +38,9 @@ class MvccValidator {
                      const std::vector<proto::ValidationCode>& codes,
                      StateDb& state);
 
-  /// Bulk-commit variant (--opt-bulk-commit): gathers every valid
-  /// transaction's writes and applies them as one StateDb::ApplyBatch call
-  /// — one batched ledger write per block. End state is identical to
-  /// Commit (same writes, same order, same versions).
+  /// Same as Commit. --opt-bulk-commit changes only the simulated disk
+  /// cost of the block's write (Calibration::bulk_*), not how state is
+  /// applied; kept as a forward for callers that name it.
   static void CommitBulk(const proto::Block& block,
                          const std::vector<proto::ValidationCode>& codes,
                          StateDb& state);

@@ -13,9 +13,9 @@
 // all is reported as *other* — which doubles as a coverage check on the
 // instrumentation itself.
 //
-// Combined with windowed resource utilizations (Cpu::Utilization(t0, t1)),
-// each phase also gets a one-line verdict naming its most saturated
-// resource.
+// Combined with windowed resource utilizations (the difference of each
+// station's Cpu::BusyTime() read at the window's edges), each phase also
+// gets a one-line verdict naming its most saturated resource.
 #pragma once
 
 #include <cstdint>

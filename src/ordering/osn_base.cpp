@@ -38,7 +38,6 @@ void OsnBase::SetAdmission(const sim::AdmissionConfig& config,
 
 void OsnBase::OnMessage(sim::NodeId from, const sim::MessagePtr& msg) {
   if (auto bc = std::dynamic_pointer_cast<const BroadcastEnvelopeMsg>(msg)) {
-    broadcast_log_.Record(env_.Now());
     if (auto* tr = env_.Trace()) {
       tr->Record(tr->PidFor(machine_.Name()), obs::SpanKind::kWire,
                  "rpc.broadcast", bc->Envelope()->tx_id, bc->SentAt(),

@@ -22,7 +22,6 @@
 #include "crypto/identity.h"
 #include "fabric/calibration.h"
 #include "metrics/phase_stats.h"
-#include "metrics/rate_log.h"
 #include "ordering/deliver.h"
 #include "ordering/messages.h"
 #include "sim/admission.h"
@@ -136,12 +135,6 @@ class OsnBase {
   [[nodiscard]] std::optional<crypto::Digest> HistoryHeaderHash(
       std::uint64_t number) const;
 
-  /// Per-second log of broadcasts received (the paper's rate double-check
-  /// on the load actually reaching the ordering service).
-  [[nodiscard]] const metrics::RateLog& BroadcastLog() const {
-    return broadcast_log_;
-  }
-
  protected:
   /// What the consenter did with a verified envelope.
   enum class AcceptResult {
@@ -243,7 +236,6 @@ class OsnBase {
   // backfilled. Blocks are shared_ptrs into the same objects the peers hold,
   // so retention costs pointers, not copies.
   std::map<std::uint64_t, AssembledBlock> history_;
-  metrics::RateLog broadcast_log_{"broadcast-received"};
   std::uint64_t genesis_next_number_ = 0;
   crypto::Digest genesis_hash_{};
 

@@ -11,75 +11,71 @@ namespace fabricsim::peer {
 Committer::Committer(sim::Environment& env, sim::Machine& machine,
                      sim::Cpu& ledger_disk, const crypto::MspRegistry& msps,
                      const fabric::Calibration& cal,
-                     metrics::TxTracker* tracker)
+                     metrics::TxTracker* tracker,
+                     const CommitterOptions& options)
     : env_(env),
       machine_(machine),
       disk_(ledger_disk),
       msps_(msps),
       cal_(cal),
-      tracker_(tracker) {}
+      tracker_(tracker),
+      options_(options),
+      msp_cache_(options.optimizations.msp_cache
+                     ? std::make_unique<crypto::MspIdentityCache>(msps)
+                     : nullptr),
+      // Dedicated validation workers at the peer machine's clock speed,
+      // living as long as the committer so telemetry can read the station.
+      vscc_cpu_(options.optimizations.vscc_workers > 0
+                    ? std::make_unique<sim::Cpu>(
+                          env.Sched(), options.optimizations.vscc_workers,
+                          machine.GetCpu().SpeedFactor())
+                    : nullptr) {
+  chain_.MutableStore().SetRetention(options_.ledger_retention);
+  // The ledger's append-time linkage check re-verifies the data hash
+  // independently (defense in depth); the drill must lower both gates or
+  // the tampered block still bounces, as a linkage reject, before the
+  // invariant can see it.
+  chain_.SetDataHashCheckDisabled(options_.data_hash_check_disabled);
+}
 
 void Committer::SetPolicy(const std::string& chaincode_id,
                           policy::EndorsementPolicy policy) {
   policies_.insert_or_assign(chaincode_id, std::move(policy));
 }
 
-void Committer::SetOptimizations(const fabric::OptimizationOptions& opts) {
-  opts_ = opts;
-  msp_cache_ = opts.msp_cache
-                   ? std::make_unique<crypto::MspIdentityCache>(msps_)
-                   : nullptr;
-  if (opts.vscc_workers > 0) {
-    // Dedicated validation workers at the peer machine's clock speed. The
-    // station is created once and lives as long as the committer, so its
-    // utilization history is available to telemetry.
-    vscc_cpu_ = std::make_unique<sim::Cpu>(env_.Sched(), opts.vscc_workers,
-                                           machine_.GetCpu().SpeedFactor());
-  } else {
-    vscc_cpu_.reset();
-  }
-}
-
 Committer::VsccPlan Committer::PlanVscc(const proto::TransactionEnvelope& tx) {
-  VsccPlan plan;
-
-  // Creator identity: full deserialize + chain walk on a miss, map hit on a
-  // cache hit (the cached-vs-full split of the VSCC base cost).
-  const crypto::Certificate* creator = nullptr;
-  bool creator_hit = false;
-  if (msp_cache_ != nullptr) {
-    const auto r = msp_cache_->Lookup(tx.creator_cert);
-    creator = r.cert;
-    creator_hit = r.hit;
-  } else {
-    creator = msps_.CachedCertificate(tx.creator_cert);
-  }
-  plan.cost = creator_hit ? cal_.vscc_cached_base_cpu : cal_.vscc_base_cpu;
-
-  // Per-endorsement identity lookups (cost charged only for endorsements
-  // whose signature is actually verified; principal extraction beyond that
-  // is folded into the base cost — see fabric/optimizations.h).
-  const std::size_t n = tx.endorsements.size();
-  std::vector<const crypto::Certificate*> certs(n, nullptr);
-  std::vector<bool> hits(n, false);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (msp_cache_ != nullptr) {
-      const auto r = msp_cache_->Lookup(tx.endorsements[i].endorser_cert);
-      certs[i] = r.cert;
-      hits[i] = r.hit;
-    } else {
-      certs[i] = msps_.CachedCertificate(tx.endorsements[i].endorser_cert);
-    }
-  }
-  const auto endorse_cost = [&](std::size_t i) {
-    return hits[i] ? cal_.vscc_cached_per_endorsement_cpu
-                   : cal_.vscc_per_endorsement_cpu;
+  const bool shortcircuit = options_.optimizations.policy_shortcircuit;
+  // Identities are resolved only where something reads them: through the
+  // MSP cache when one is armed (a hit is charged the cheaper cached cost),
+  // else from the registry when the short-circuit needs the principals.
+  // The full path resolves nothing here: Vscc() checks the signers through
+  // the envelope's own signature verdicts.
+  const auto lookup = [&](proto::BytesView cert) {
+    if (msp_cache_ != nullptr) return msp_cache_->Lookup(cert);
+    return crypto::MspIdentityCache::Result{
+        shortcircuit ? msps_.CachedCertificate(cert) : nullptr, false};
   };
+  // Creator first, then every endorser in order: the cache's hits depend
+  // on this sequence.
+  const auto creator = lookup(tx.creator_cert);
+  VsccPlan plan{proto::ValidationCode::kValid,
+                creator.hit ? cal_.vscc_cached_base_cpu : cal_.vscc_base_cpu};
+  endorsers_.clear();
+  for (const auto& e : tx.endorsements) {
+    endorsers_.push_back(lookup(e.endorser_cert));
+  }
+  // Per-endorsement cost, charged only for endorsements whose signature is
+  // actually verified; principal extraction beyond that is folded into the
+  // base cost (see fabric/optimizations.h).
+  const auto endorse_cost = [&](std::size_t i) {
+    return endorsers_[i].hit ? cal_.vscc_cached_per_endorsement_cpu
+                             : cal_.vscc_per_endorsement_cpu;
+  };
+  const std::size_t n = endorsers_.size();
 
-  if (!opts_.policy_shortcircuit) {
-    // msp_cache-only plan: the verdict is the ordinary full VSCC (computed
-    // here rather than at job completion); only the cost changes with the
-    // cache hits.
+  if (!shortcircuit) {
+    // Full VSCC verifies every endorsement. With no cache this is
+    // vscc_base_cpu + n * vscc_per_endorsement_cpu.
     for (std::size_t i = 0; i < n; ++i) plan.cost += endorse_cost(i);
     plan.code = Vscc(tx);
     return plan;
@@ -91,7 +87,7 @@ Committer::VsccPlan Committer::PlanVscc(const proto::TransactionEnvelope& tx) {
   // short-circuit evaluator): an invalid endorsement *after* the satisfying
   // prefix is never examined, and an unsatisfiable endorsement set reports
   // kEndorsementPolicyFailure without looking at its signatures.
-  if (creator == nullptr || !tx.ClientSignatureValid(*creator)) {
+  if (creator.cert == nullptr || !tx.ClientSignatureValid(*creator.cert)) {
     plan.code = proto::ValidationCode::kBadSignature;
     return plan;
   }
@@ -105,11 +101,11 @@ Committer::VsccPlan Committer::PlanVscc(const proto::TransactionEnvelope& tx) {
   // satisfy the policy.
   std::vector<crypto::Principal> principals;
   principals.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    principals.push_back(certs[i] != nullptr
-                             ? crypto::Principal{certs[i]->msp_id,
-                                                 certs[i]->role}
-                             : crypto::Principal{"", crypto::Role::kClient});
+  for (const auto& id : endorsers_) {
+    principals.push_back(
+        id.cert != nullptr
+            ? crypto::Principal{id.cert->msp_id, id.cert->role}
+            : crypto::Principal{"", crypto::Role::kClient});
   }
   const auto prefix = policy::SatisfiedPrefix(pit->second, principals);
   if (!prefix) {
@@ -118,12 +114,12 @@ Committer::VsccPlan Committer::PlanVscc(const proto::TransactionEnvelope& tx) {
   }
   for (std::size_t i = 0; i < *prefix; ++i) {
     plan.cost += endorse_cost(i);  // the failing check is still paid for
-    if (certs[i] == nullptr || !tx.EndorsementValid(i, *certs[i])) {
+    if (endorsers_[i].cert == nullptr ||
+        !tx.EndorsementValid(i, *endorsers_[i].cert)) {
       plan.code = proto::ValidationCode::kBadSignature;
       return plan;
     }
   }
-  plan.code = proto::ValidationCode::kValid;
   return plan;
 }
 
@@ -179,14 +175,14 @@ void Committer::OnBlock(proto::BlockPtr block, OnCommit on_commit) {
   // signed header but no longer hashes to header.data_hash. The Merkle root
   // is memoized on the shared block, so the honest path pays one host-side
   // hash per block and zero simulated CPU — results stay byte-identical.
-  if (!data_hash_check_disabled_ &&
+  if (!options_.data_hash_check_disabled &&
       block->DataHash() != block->header.data_hash) {
     ++rejected_data_hash_;
     return;
   }
 
-  if (max_pipeline_blocks_ > 0 &&
-      pending_.size() + ready_.size() >= max_pipeline_blocks_) {
+  if (options_.max_pipeline_blocks > 0 &&
+      pending_.size() + ready_.size() >= options_.max_pipeline_blocks) {
     // Bounded validation pipeline: park the block until VSCC/commit drain.
     ++deferred_total_;
     deferred_.emplace(number,
@@ -210,8 +206,8 @@ void Committer::Admit(std::uint64_t number, proto::BlockPtr block,
 
 void Committer::PromoteDeferred() {
   while (!deferred_.empty() &&
-         (max_pipeline_blocks_ == 0 ||
-          pending_.size() + ready_.size() < max_pipeline_blocks_)) {
+         (options_.max_pipeline_blocks == 0 ||
+          pending_.size() + ready_.size() < options_.max_pipeline_blocks)) {
     auto it = deferred_.begin();
     const std::uint64_t number = it->first;
     DeferredBlock d = std::move(it->second);
@@ -234,38 +230,23 @@ void Committer::StartVscc(std::uint64_t number) {
   const bool tracing = env_.Trace() != nullptr && tracker_ != nullptr;
   if (tracing) pb.vscc_done_at.assign(pb.block->transactions.size(), 0);
 
-  // Fan one VSCC job per transaction onto the validation station — the
+  // Fan one VSCC job per transaction onto the validation station: the
   // peer CPU, or the dedicated simulated worker station under
   // --opt-vscc-workers (a model knob: the jobs, like the rest of the
-  // experiment, run on one host thread). When
-  // a cost-affecting knob is on, the verdict and cost are planned here, in
-  // submission order (cache hits and short-circuit savings depend on it);
-  // knobs-off keeps the original formula and completion-time verdict.
-  const bool planned = opts_.msp_cache || opts_.policy_shortcircuit;
+  // experiment, run on one host thread). Verdict and cost are planned
+  // here, in submission order.
   const sim::SimTime enqueued = env_.Now();
   for (std::size_t i = 0; i < pb.block->transactions.size(); ++i) {
-    const auto& tx = pb.block->transactions[i];
-    sim::SimDuration cost;
-    std::optional<proto::ValidationCode> verdict;
-    if (planned) {
-      const VsccPlan plan = PlanVscc(tx);
-      cost = plan.cost;
-      verdict = plan.code;
-    } else {
-      cost = cal_.vscc_base_cpu +
-             static_cast<sim::SimDuration>(tx.endorsements.size()) *
-                 cal_.vscc_per_endorsement_cpu;
-    }
-    VsccCpuRef().Submit(cost, [this, number, i, cost, enqueued, verdict] {
+    const VsccPlan plan = PlanVscc(pb.block->transactions[i]);
+    VsccCpuRef().Submit(plan.cost, [this, number, i, enqueued, plan] {
       auto pit = pending_.find(number);
       if (pit == pending_.end()) return;
       PendingBlock& blk = pit->second;
-      blk.vscc_codes[i] =
-          verdict ? *verdict : Vscc(blk.block->transactions[i]);
+      blk.vscc_codes[i] = plan.code;
       if (auto* tr = env_.Trace(); tr != nullptr && tracker_ != nullptr) {
         tr->RecordResourceSpan(tr->PidFor(machine_.Name()), "vscc",
                                blk.block->transactions[i].tx_id, enqueued,
-                               env_.Now(), VsccCpuRef().ScaledCost(cost));
+                               env_.Now(), VsccCpuRef().ScaledCost(plan.cost));
         if (i < blk.vscc_done_at.size()) blk.vscc_done_at[i] = env_.Now();
       }
       if (--blk.vscc_remaining == 0) OnVsccDone(number);
@@ -309,7 +290,7 @@ void Committer::TrySerialCommit() {
   // Bulk commit replaces the three per-tx write costs with one batched
   // ledger write per block: a larger fixed cost, a small residual per tx.
   const sim::SimDuration cost =
-      opts_.bulk_commit
+      options_.optimizations.bulk_commit
           ? cal_.bulk_block_write_base_disk +
                 static_cast<sim::SimDuration>(tx_count) *
                     cal_.bulk_write_per_tx_disk
@@ -337,7 +318,7 @@ void Committer::SerialCommit(PendingBlock pb) {
   // Duplicate tx-id screening (Fabric flags later duplicates invalid).
   // The failpoint skips it so chaos tests can observe double commits.
   std::vector<proto::ValidationCode> codes = std::move(pb.vscc_codes);
-  if (!dedup_disabled_) {
+  if (!options_.dedup_disabled) {
     const auto& txs = pb.block->transactions;
     auto flag = [&](std::size_t i) {
       if (codes[i] == proto::ValidationCode::kValid) {
@@ -383,11 +364,7 @@ void Committer::SerialCommit(PendingBlock pb) {
     PromoteDeferred();
     return;
   }
-  if (opts_.bulk_commit) {
-    ledger::MvccValidator::CommitBulk(*pb.block, mvcc.codes, state_);
-  } else {
-    ledger::MvccValidator::Commit(*pb.block, mvcc.codes, state_);
-  }
+  ledger::MvccValidator::Commit(*pb.block, mvcc.codes, state_);
 
   for (std::size_t i = 0; i < pb.block->transactions.size(); ++i) {
     if (mvcc.codes[i] == proto::ValidationCode::kValid) {

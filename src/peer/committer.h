@@ -8,12 +8,18 @@
 //      (block store append + state DB update), a single-writer, fsync-bound
 //      path. This is the paper's OR-policy bottleneck.
 // Blocks commit strictly in order.
+//
+// Everything that shapes the pipeline (the pipeline bound, ledger
+// retention, the validate-phase knobs and the two failpoints) is a
+// CommitterOptions fixed at construction, so it is in force from the first
+// block on. Every transaction takes the same two steps: PlanVscc computes
+// its verdict and simulated cost at submission, and SerialCommit applies
+// the valid writes through MvccValidator::Commit.
 #pragma once
 
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -40,13 +46,42 @@ struct CommittedBlock {
   std::vector<proto::ValidationCode> codes;
 };
 
+/// A committer's construction-time settings. All defaults give the paper's
+/// unoptimized, unbounded committer.
+struct CommitterOptions {
+  /// Caps the validation pipeline (blocks in VSCC + awaiting serial
+  /// commit). Excess blocks are deferred and promoted as the pipeline
+  /// drains, never shed: a delivered block is acked work, so deferral is
+  /// the only policy that keeps "nothing acked is lost" intact. 0 =
+  /// unbounded.
+  std::size_t max_pipeline_blocks = 0;
+  /// Ledger retention for bounded-memory soak runs: keep only the newest
+  /// `ledger_retention` blocks resident (0 = all). See
+  /// ledger::BlockStore::SetRetention for the dedup-horizon caveat.
+  std::uint64_t ledger_retention = 0;
+  /// Thakkar-style validate-phase knobs (see fabric/optimizations.h). With
+  /// every knob off the commit pipeline is the unoptimized committer: the
+  /// VSCC cost formula, the serial disk cost and the CPU the jobs run on.
+  fabric::OptimizationOptions optimizations{};
+  /// Failpoint: skip duplicate tx-id screening in SerialCommit. Exists only
+  /// so chaos campaigns can prove the double-commit invariant fires (a
+  /// client resubmission then commits twice). Never set in production runs.
+  bool dedup_disabled = false;
+  /// Failpoint: skip the commit-time data-hash re-verification, and the
+  /// ledger's append-time re-check of it, so planted tamper-block drills
+  /// can show the no-forged-commit invariant fire. Never set in production
+  /// runs.
+  bool data_hash_check_disabled = false;
+};
+
 class Committer {
  public:
   using OnCommit = std::function<void(const CommittedBlock&)>;
 
   Committer(sim::Environment& env, sim::Machine& machine,
             sim::Cpu& ledger_disk, const crypto::MspRegistry& msps,
-            const fabric::Calibration& cal, metrics::TxTracker* tracker);
+            const fabric::Calibration& cal, metrics::TxTracker* tracker,
+            const CommitterOptions& options = {});
 
   /// Registers the endorsement policy for a chaincode (channel config).
   void SetPolicy(const std::string& chaincode_id,
@@ -62,41 +97,8 @@ class Committer {
   /// or out-of-order blocks are buffered / dropped as appropriate.
   void OnBlock(proto::BlockPtr block, OnCommit on_commit);
 
-  /// Caps the validation pipeline (blocks in VSCC + awaiting serial
-  /// commit). Excess blocks are deferred and promoted as the pipeline
-  /// drains — never shed: a delivered block is acked work, so deferral is
-  /// the only policy that keeps "nothing acked is lost" intact. 0 =
-  /// unbounded (legacy behavior).
-  void SetMaxPipelineBlocks(std::size_t max_blocks) {
-    max_pipeline_blocks_ = max_blocks;
-  }
-
-  /// Failpoint: skip duplicate tx-id screening in SerialCommit. Exists only
-  /// so chaos campaigns can prove the double-commit invariant fires (a
-  /// client resubmission then commits twice). Never set in production runs.
-  void SetDedupDisabled(bool disabled) { dedup_disabled_ = disabled; }
-
-  /// Failpoint: skip the commit-time data-hash re-verification so planted
-  /// tamper-block drills can show the no-forged-commit invariant fire.
-  /// Never set in production runs.
-  void SetDataHashCheckDisabled(bool disabled) {
-    data_hash_check_disabled_ = disabled;
-    // The ledger's append-time linkage check re-verifies the data hash
-    // independently (defense in depth); the drill must lower both gates or
-    // the tampered block still bounces — as a linkage reject — before the
-    // invariant can see it.
-    chain_.SetDataHashCheckDisabled(disabled);
-  }
-
-  /// Arms the Thakkar-style validate-phase optimizations (see
-  /// fabric/optimizations.h). With every knob off — the default — the
-  /// commit pipeline is byte-identical to the unoptimized committer: the
-  /// VSCC cost formula, the serial disk cost, and the CPU the jobs run on
-  /// are untouched. Call before the first block arrives.
-  void SetOptimizations(const fabric::OptimizationOptions& opts);
-  [[nodiscard]] const fabric::OptimizationOptions& Optimizations() const {
-    return opts_;
-  }
+  /// The settings this committer was built with.
+  [[nodiscard]] const CommitterOptions& Options() const { return options_; }
   /// The MSP identity cache, when --opt-msp-cache armed one (else nullptr).
   [[nodiscard]] const crypto::MspIdentityCache* MspCache() const {
     return msp_cache_.get();
@@ -105,13 +107,6 @@ class Committer {
   /// (else nullptr: VSCC shares the peer CPU).
   [[nodiscard]] const sim::Cpu* VsccWorkerCpu() const {
     return vscc_cpu_.get();
-  }
-
-  /// Applies ledger retention for bounded-memory soak runs: keep only the
-  /// newest `keep_blocks` blocks resident (0 = all). See
-  /// ledger::BlockStore::SetRetention for the dedup-horizon caveat.
-  void SetLedgerRetention(std::uint64_t keep_blocks) {
-    chain_.MutableStore().SetRetention(keep_blocks);
   }
 
   /// Blocks currently in VSCC or awaiting serial commit.
@@ -198,12 +193,11 @@ class Committer {
     OnCommit on_commit;
   };
 
-  /// Submit-time VSCC plan used when a cost-affecting knob (msp_cache /
-  /// policy_shortcircuit) is on: the verdict and the knob-dependent cost
-  /// are computed in deterministic submission order (MSP-cache hits and
-  /// short-circuit savings depend on it). With both knobs off the plan is
-  /// never built and the verdict is computed at job completion, exactly as
-  /// before.
+  /// One transaction's VSCC verdict and simulated cost, planned when its
+  /// job is submitted, in deterministic submission order (MSP-cache hits
+  /// and short-circuit savings depend on that order). The verdict depends
+  /// only on the immutable envelope, the registry and the policies, none
+  /// of which change while the job waits on the station.
   struct VsccPlan {
     proto::ValidationCode code = proto::ValidationCode::kValid;
     sim::SimDuration cost = 0;
@@ -229,8 +223,7 @@ class Committer {
 
   std::unordered_map<std::string, policy::EndorsementPolicy> policies_;
 
-  // Validate-phase optimization knobs (all off by default).
-  fabric::OptimizationOptions opts_;
+  const CommitterOptions options_;
   std::unique_ptr<crypto::MspIdentityCache> msp_cache_;
   std::unique_ptr<sim::Cpu> vscc_cpu_;  // dedicated VSCC workers
 
@@ -242,11 +235,10 @@ class Committer {
   std::map<std::uint64_t, PendingBlock> ready_;  // VSCC finished
   // Parked behind the bounded pipeline, lowest number promoted first.
   std::map<std::uint64_t, DeferredBlock> deferred_;
-  std::size_t max_pipeline_blocks_ = 0;  // 0 = unbounded
-  bool dedup_disabled_ = false;          // failpoint, see SetDedupDisabled
+  // PlanVscc's endorser identities, reused across transactions.
+  std::vector<crypto::MspIdentityCache::Result> endorsers_;
   // SerialCommit's duplicate screen, reused across blocks: (tx id, index).
   std::vector<std::pair<std::string_view, std::size_t>> dedup_screen_;
-  bool data_hash_check_disabled_ = false;  // failpoint
   std::uint64_t deferred_total_ = 0;
   std::uint64_t rejected_orderer_sig_ = 0;
   std::uint64_t rejected_data_hash_ = 0;

@@ -9,9 +9,9 @@ namespace fabricsim::peer {
 
 PeerNode::ChannelLedger::ChannelLedger(PeerNode& peer,
                                        const std::string& channel_id) {
-  committer = std::make_unique<Committer>(peer.env_, peer.machine_,
-                                          peer.disk_, peer.msps_, peer.cal_,
-                                          peer.tracker_);
+  committer = std::make_unique<Committer>(
+      peer.env_, peer.machine_, peer.disk_, peer.msps_, peer.cal_,
+      peer.tracker_, peer.committer_options_);
   endorser = std::make_unique<Endorser>(
       peer.identity_, peer.msps_, *peer.chaincodes_, committer->State(),
       committer->Chain().Store(), channel_id);
@@ -21,7 +21,8 @@ PeerNode::PeerNode(sim::Environment& env, sim::Machine& machine,
                    crypto::Identity identity, const crypto::MspRegistry& msps,
                    std::shared_ptr<const chaincode::Registry> chaincodes,
                    const fabric::Calibration& cal, std::string channel_id,
-                   metrics::TxTracker* tracker, bool endorsing, int index)
+                   metrics::TxTracker* tracker, bool endorsing, int index,
+                   const CommitterOptions& committer)
     : env_(env),
       machine_(machine),
       identity_(std::move(identity)),
@@ -30,6 +31,7 @@ PeerNode::PeerNode(sim::Environment& env, sim::Machine& machine,
       cal_(cal),
       default_channel_(std::move(channel_id)),
       tracker_(tracker),
+      committer_options_(committer),
       endorsing_(endorsing),
       net_id_(env.Net().Register(
           (endorsing ? "peer.endorse" : "peer.commit") + std::to_string(index),
@@ -44,12 +46,6 @@ PeerNode::PeerNode(sim::Environment& env, sim::Machine& machine,
 void PeerNode::JoinChannel(const std::string& channel_id) {
   if (channels_.count(channel_id) != 0) return;
   auto ledger = std::make_unique<ChannelLedger>(*this, channel_id);
-  ledger->committer->SetMaxPipelineBlocks(committer_pipeline_limit_);
-  ledger->committer->SetDedupDisabled(committer_dedup_disabled_);
-  ledger->committer->SetLedgerRetention(retain_blocks_);
-  if (optimizations_.Any()) {
-    ledger->committer->SetOptimizations(optimizations_);
-  }
   ledger->endorser->SetForgeSignatures(forge_endorsements_);
   channels_.emplace(channel_id, std::move(ledger));
 }
@@ -429,34 +425,6 @@ void PeerNode::SetEndorseAdmission(const sim::AdmissionConfig& config,
                                    sim::SimDuration retry_after) {
   endorse_ingress_.Configure(config);
   endorse_retry_after_ = retry_after;
-}
-
-void PeerNode::SetCommitterPipelineLimit(std::size_t max_blocks) {
-  committer_pipeline_limit_ = max_blocks;
-  for (auto& [id, ledger] : channels_) {
-    ledger->committer->SetMaxPipelineBlocks(max_blocks);
-  }
-}
-
-void PeerNode::SetCommitterDedupDisabled(bool disabled) {
-  committer_dedup_disabled_ = disabled;
-  for (auto& [id, ledger] : channels_) {
-    ledger->committer->SetDedupDisabled(disabled);
-  }
-}
-
-void PeerNode::SetLedgerRetention(std::uint64_t keep_blocks) {
-  retain_blocks_ = keep_blocks;
-  for (auto& [id, ledger] : channels_) {
-    ledger->committer->SetLedgerRetention(keep_blocks);
-  }
-}
-
-void PeerNode::SetOptimizations(const fabric::OptimizationOptions& opts) {
-  optimizations_ = opts;
-  for (auto& [id, ledger] : channels_) {
-    ledger->committer->SetOptimizations(opts);
-  }
 }
 
 void PeerNode::HandleEndorseRequest(

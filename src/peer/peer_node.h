@@ -8,6 +8,10 @@
 // interactive (high-priority) CPU path and validate blocks in the
 // background; committing-only peers (the paper's third-phase machines) just
 // validate and serve commit events to subscribed clients.
+//
+// Every channel's committer is built from the one CommitterOptions the peer
+// was constructed with, so a channel joined at any time validates exactly
+// like the first.
 #pragma once
 
 #include <map>
@@ -40,17 +44,20 @@ struct DeliverFailoverConfig {
 class PeerNode {
  public:
   /// Constructs the peer and joins it to `channel_id` (its first channel).
+  /// `committer` configures the committer of every channel the peer joins.
   PeerNode(sim::Environment& env, sim::Machine& machine,
            crypto::Identity identity, const crypto::MspRegistry& msps,
            std::shared_ptr<const chaincode::Registry> chaincodes,
            const fabric::Calibration& cal, std::string channel_id,
-           metrics::TxTracker* tracker, bool endorsing, int index);
+           metrics::TxTracker* tracker, bool endorsing, int index,
+           const CommitterOptions& committer);
 
   PeerNode(const PeerNode&) = delete;
   PeerNode& operator=(const PeerNode&) = delete;
 
-  /// Joins an additional channel (fresh ledger; same tracker policy as the
-  /// constructor: only the peer-level tracker is reported to).
+  /// Joins an additional channel (fresh ledger; same committer options and
+  /// tracker policy as the constructor: only the peer-level tracker is
+  /// reported to).
   void JoinChannel(const std::string& channel_id);
 
   [[nodiscard]] sim::NodeId NetId() const { return net_id_; }
@@ -128,25 +135,6 @@ class PeerNode {
   /// under the block policy).
   void SetEndorseAdmission(const sim::AdmissionConfig& config,
                            sim::SimDuration retry_after);
-
-  /// Caps each channel committer's validation pipeline (pending + ready
-  /// blocks); excess delivered blocks are deferred, not dropped. 0 =
-  /// unbounded. Applies to current and future channels.
-  void SetCommitterPipelineLimit(std::size_t max_blocks);
-
-  /// Failpoint: disable every channel committer's duplicate tx-id
-  /// screening (see Committer::SetDedupDisabled). Applies to current and
-  /// future channels.
-  void SetCommitterDedupDisabled(bool disabled);
-
-  /// Ledger retention for bounded-memory runs (see Committer::
-  /// SetLedgerRetention). Applies to current and future channels.
-  void SetLedgerRetention(std::uint64_t keep_blocks);
-
-  /// Arms the validate-phase optimization knobs on every channel committer
-  /// (see Committer::SetOptimizations). Applies to current and future
-  /// channels.
-  void SetOptimizations(const fabric::OptimizationOptions& opts);
 
   [[nodiscard]] std::size_t EndorseDepth() const {
     return endorse_ingress_.Depth();
@@ -278,6 +266,7 @@ class PeerNode {
   const fabric::Calibration& cal_;
   std::string default_channel_;
   metrics::TxTracker* tracker_;
+  const CommitterOptions committer_options_;  // every channel's committer
   bool endorsing_;
   sim::NodeId net_id_;
   sim::Cpu disk_;  // single-writer ledger path, shared by all channels
@@ -334,10 +323,6 @@ class PeerNode {
   // Bounded ProcessProposal ingress (overload protection).
   sim::AdmissionQueue<PendingEndorse> endorse_ingress_;
   sim::SimDuration endorse_retry_after_ = 0;
-  std::size_t committer_pipeline_limit_ = 0;
-  bool committer_dedup_disabled_ = false;
-  std::uint64_t retain_blocks_ = 0;
-  fabric::OptimizationOptions optimizations_;  // all off by default
 };
 
 }  // namespace fabricsim::peer

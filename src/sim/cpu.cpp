@@ -1,7 +1,5 @@
 #include "sim/cpu.h"
 
-#include <algorithm>
-#include <cassert>
 #include <utility>
 
 namespace fabricsim::sim {
@@ -40,13 +38,6 @@ void Cpu::AccrueBusyTime() {
 void Cpu::StartJob(Job job) {
   AccrueBusyTime();
   ++busy_cores_;
-  if (bounded_marks_) {
-    // Running totals stay exact; only the past-time history is dropped.
-  } else if (marks_.empty() || marks_.back().t != last_change_) {
-    marks_.push_back({last_change_, cum_busy_, busy_cores_});
-  } else {
-    marks_.back().busy = busy_cores_;
-  }
   sched_.ScheduleAfter(
       ScaledCost(job.cost),
       [this, done = std::move(job.done)]() mutable {
@@ -58,12 +49,6 @@ void Cpu::StartJob(Job job) {
 void Cpu::OnJobDone(Completion done) {
   AccrueBusyTime();
   --busy_cores_;
-  if (bounded_marks_) {
-  } else if (marks_.empty() || marks_.back().t != last_change_) {
-    marks_.push_back({last_change_, cum_busy_, busy_cores_});
-  } else {
-    marks_.back().busy = busy_cores_;
-  }
   ++completed_;
   // Start the next queued job before running the completion so that a
   // completion which submits new work queues behind already-waiting jobs.
@@ -79,31 +64,16 @@ void Cpu::OnJobDone(Completion done) {
   if (done) done();
 }
 
-SimDuration Cpu::BusyTimeAt(SimTime t) const {
-  const SimTime now = sched_.Now();
-  if (t > now) t = now;
-  if (t <= 0) return 0;
-  // The running-total fast path needs no history, so it must come before
-  // the empty-marks bailout — with bounded marks it is the only path.
-  if (t >= last_change_) {
-    return cum_busy_ + static_cast<SimDuration>(t - last_change_) * busy_cores_;
-  }
-  if (marks_.empty()) return 0;
-  // Last mark with mark.t <= t; marks_ is ordered by construction.
-  auto it = std::upper_bound(
-      marks_.begin(), marks_.end(), t,
-      [](SimTime lhs, const BusyMark& m) { return lhs < m.t; });
-  if (it == marks_.begin()) return 0;
-  --it;
-  return it->cum + static_cast<SimDuration>(t - it->t) * it->busy;
+SimDuration Cpu::BusyTime() const {
+  return cum_busy_ +
+         static_cast<SimDuration>(sched_.Now() - last_change_) * busy_cores_;
 }
 
-double Cpu::Utilization() const { return Utilization(0, sched_.Now()); }
-
-double Cpu::Utilization(SimTime t0, SimTime t1) const {
-  if (t1 <= t0) return 0.0;
-  const double capacity = static_cast<double>(t1 - t0) * cores_;
-  const double used = static_cast<double>(BusyTimeAt(t1) - BusyTimeAt(t0));
+double Cpu::Utilization() const {
+  const SimTime now = sched_.Now();
+  if (now <= 0) return 0.0;
+  const double capacity = static_cast<double>(now) * cores_;
+  const double used = static_cast<double>(BusyTime());
   return used > capacity ? 1.0 : used / capacity;
 }
 

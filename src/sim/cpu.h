@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <vector>
 
 #include "sim/scheduler.h"
 #include "sim/time.h"
@@ -59,44 +58,21 @@ class Cpu {
   /// the call are scaled by the new factor.
   void SetSpeedFactor(double speed_factor);
 
-  /// Total core-busy time accrued up to the current simulated time.
-  [[nodiscard]] SimDuration BusyTime() const { return BusyTimeAt(sched_.Now()); }
-
-  /// Core-busy time accrued in [0, t] for any t <= now (exact: the CPU keeps
-  /// a compact history of busy-core transitions).
-  [[nodiscard]] SimDuration BusyTimeAt(SimTime t) const;
+  /// Total core-busy time accrued up to the current simulated time. A
+  /// window's busy time is the difference of two reads taken at its edges
+  /// (RunExperiment reads them from observer events for attribution).
+  [[nodiscard]] SimDuration BusyTime() const;
 
   /// Utilization in [0,1] over the window [0, now].
   [[nodiscard]] double Utilization() const;
 
-  /// Utilization in [0,1] over the window [t0, t1] (t1 <= now), so reports
-  /// can exclude warm-up exactly like TxTracker::BuildReport does.
-  [[nodiscard]] double Utilization(SimTime t0, SimTime t1) const;
-
   /// Total jobs completed.
   [[nodiscard]] std::uint64_t CompletedJobs() const { return completed_; }
-
-  /// Bounded-memory mode: stop recording the busy-core transition history
-  /// (two marks per job, forever — the one per-job allocation left once the
-  /// TxTracker streams). Running totals (BusyTime(), Utilization() to now,
-  /// BusyCores()) stay exact; only PAST-time queries (BusyTimeAt(t) /
-  /// Utilization(t0, t1) with t < now) need the history, and the sole such
-  /// caller — attribution — is mutually exclusive with streaming runs.
-  /// Already-recorded marks are kept, so past queries up to the switch-on
-  /// point remain exact.
-  void SetBoundedMarks(bool on) { bounded_marks_ = on; }
 
  private:
   struct Job {
     SimDuration cost;
     Completion done;
-  };
-  /// One busy-core transition: cumulative busy time up to `t`, and the
-  /// number of busy cores from `t` onward.
-  struct BusyMark {
-    SimTime t;
-    SimDuration cum;
-    int busy;
   };
 
   void StartJob(Job job);
@@ -111,12 +87,10 @@ class Cpu {
   std::deque<Job> queue_;
   std::deque<Job> high_queue_;
 
-  // Busy-time accrual: cum_busy_ is exact as of last_change_; between marks
-  // the busy-core count is constant, so BusyTimeAt interpolates exactly.
+  // Busy-time accrual: cum_busy_ is exact as of last_change_, and the
+  // busy-core count is constant until the next change.
   SimDuration cum_busy_ = 0;
   SimTime last_change_ = 0;
-  bool bounded_marks_ = false;
-  std::vector<BusyMark> marks_;
 };
 
 }  // namespace fabricsim::sim

@@ -27,7 +27,7 @@ namespace {
 /// shape as peer_committer_test.cpp; identities derive deterministically, so
 /// two fixtures produce byte-identical blocks).
 struct Fixture {
-  Fixture() : env(3) {
+  explicit Fixture(const fabric::OptimizationOptions& opt = {}) : env(3) {
     msps.AddOrganization("Org1MSP");
     msps.AddOrganization("Org2MSP");
     msps.AddOrganization("ClientOrgMSP");
@@ -43,9 +43,9 @@ struct Fixture {
 
     machine = &env.AddMachine("peer", sim::I7_2600());
     disk = std::make_unique<sim::Cpu>(env.Sched(), 1);
-    committer = std::make_unique<Committer>(env, *machine, *disk, msps,
-                                            fabric::DefaultCalibration(),
-                                            &tracker);
+    committer = std::make_unique<Committer>(
+        env, *machine, *disk, msps, fabric::DefaultCalibration(), &tracker,
+        CommitterOptions{.optimizations = opt});
     committer->SetPolicy("cc", policy::MustParsePolicy("OR('Org1MSP.peer',"
                                                        "'Org2MSP.peer')"));
   }
@@ -121,8 +121,7 @@ using CodeSeq = std::vector<std::vector<proto::ValidationCode>>;
 std::pair<CodeSeq, CodeSeq> RunBoth(const fabric::OptimizationOptions& opt) {
   CodeSeq base_codes, opt_codes;
   for (int which = 0; which < 2; ++which) {
-    Fixture f;
-    if (which == 1) f.committer->SetOptimizations(opt);
+    Fixture f(which == 1 ? opt : fabric::OptimizationOptions{});
     CodeSeq& out = which == 0 ? base_codes : opt_codes;
     // Block 0: all valid, multi-tx. Block 1: unendorsed + tampered
     // endorsement + valid + duplicate id. Block 2: valid again (the
@@ -162,10 +161,9 @@ TEST(CommitterVsccWorkersTest, VerdictsMatchSerialValidation) {
 TEST(CommitterVsccWorkersTest, CommitOrderSurvivesOutOfOrderDelivery) {
   // Parallel VSCC must not reorder commits: blocks delivered out of order
   // still commit 0, 1, 2.
-  Fixture f;
   fabric::OptimizationOptions opt;
   opt.vscc_workers = 4;
-  f.committer->SetOptimizations(opt);
+  Fixture f(opt);
   auto b0 = f.MakeBlock({f.MakeTx("t1", {f.peer1.get()}),
                          f.MakeTx("t2", {f.peer2.get()})});
   auto b1 = f.MakeBlock({f.MakeTx("t3", {f.peer1.get()})});
@@ -185,13 +183,14 @@ TEST(CommitterVsccWorkersTest, CommitOrderSurvivesOutOfOrderDelivery) {
 TEST(CommitterVsccWorkersTest, WideBlockVerdictsMatchSerialValidation) {
   // 32 transactions in one block fan out across the dedicated station's
   // workers; every verdict matches the knobs-off committer on the peer CPU.
+  // A 33rd carries a forged endorsement (re-signed by the client, so the
+  // endorsement is what fails).
   std::vector<proto::ValidationCode> codes[2];
   for (int which = 0; which < 2; ++which) {
-    Fixture f;
+    fabric::OptimizationOptions opt;
+    if (which == 1) opt.vscc_workers = 4;
+    Fixture f(opt);
     if (which == 1) {
-      fabric::OptimizationOptions opt;
-      opt.vscc_workers = 4;
-      f.committer->SetOptimizations(opt);
       ASSERT_NE(f.committer->VsccWorkerCpu(), nullptr);
     }
     std::vector<proto::TransactionEnvelope> txs;
@@ -200,11 +199,30 @@ TEST(CommitterVsccWorkersTest, WideBlockVerdictsMatchSerialValidation) {
                              {i % 2 == 0 ? f.peer1.get() : f.peer2.get()},
                              {"k" + std::to_string(i)}));
     }
-    codes[which] = f.Commit(f.MakeBlock(std::move(txs)));
+    auto forged = f.MakeTx("forged", {f.peer1.get()}, {"kf"});
+    forged.endorsements[0].signature.bytes[5] ^= 1;
+    forged.client_signature = f.client->Sign([&] {
+      forged.InvalidateCaches();
+      return forged.SignedBody();
+    }());
+    txs.push_back(std::move(forged));
+    const proto::BlockPtr block = f.MakeBlock(std::move(txs));
+    codes[which] = f.Commit(block);
+    if (which == 0) {
+      // Knobs off, the verdict planned at submission is Committer::Vscc's.
+      ASSERT_EQ(codes[0].size(), block->transactions.size());
+      for (std::size_t i = 0; i < codes[0].size(); ++i) {
+        EXPECT_EQ(codes[0][i], f.committer->Vscc(block->transactions[i])) << i;
+      }
+    }
   }
-  ASSERT_EQ(codes[1].size(), 32u);
+  ASSERT_EQ(codes[1].size(), 33u);
   EXPECT_EQ(codes[1], codes[0]);
-  for (const auto c : codes[1]) EXPECT_EQ(c, proto::ValidationCode::kValid);
+  for (std::size_t i = 0; i < codes[1].size(); ++i) {
+    EXPECT_EQ(codes[1][i], i == 32 ? proto::ValidationCode::kBadSignature
+                                   : proto::ValidationCode::kValid)
+        << i;
+  }
 }
 
 TEST(SignatureVerdict, FullPathVerdictsFeedTheShortCircuitPlan) {
@@ -212,15 +230,14 @@ TEST(SignatureVerdict, FullPathVerdictsFeedTheShortCircuitPlan) {
   // do. The first runs full VSCC (VerifiedSigners) on the dedicated
   // station, which writes the envelopes' signature verdicts; the second
   // plans short-circuit VSCC and reads those verdicts.
-  Fixture f;
   fabric::OptimizationOptions workers;
   workers.vscc_workers = 4;
-  f.committer->SetOptimizations(workers);
+  Fixture f(workers);
   Committer planner(f.env, *f.machine, *f.disk, f.msps,
-                    fabric::DefaultCalibration(), nullptr);
+                    fabric::DefaultCalibration(), nullptr,
+                    {.optimizations = AllKnobs()});
   planner.SetPolicy("cc", policy::MustParsePolicy("OR('Org1MSP.peer',"
                                                   "'Org2MSP.peer')"));
-  planner.SetOptimizations(AllKnobs());
 
   std::vector<proto::TransactionEnvelope> txs;
   for (int i = 0; i < 16; ++i) {
@@ -260,9 +277,9 @@ TEST(CommitterOptimizations, BulkCommitEndStateIdentical) {
   const auto [base, with] = RunBoth(opt);
   EXPECT_EQ(base, with);
 
-  // And the world state written through ApplyBatch matches key-by-key.
-  Fixture serial, bulk;
-  bulk.committer->SetOptimizations(opt);
+  // And the world state written under the bulk disk cost matches
+  // key-by-key.
+  Fixture serial, bulk(opt);
   for (Fixture* f : {&serial, &bulk}) {
     f->Commit(f->MakeBlock({f->MakeTx("a", {f->peer1.get()}, {"k1"}),
                             f->MakeTx("b", {}, {"k2"}),
@@ -287,8 +304,7 @@ TEST(CommitterOptimizations, MspCacheChangesNoVerdictsAndCountsHits) {
   const auto [base, with] = RunBoth(opt);
   EXPECT_EQ(base, with);
 
-  Fixture f;
-  f.committer->SetOptimizations(opt);
+  Fixture f(opt);
   f.Commit(f.MakeBlock({f.MakeTx("a", {f.peer1.get()}, {"k1"}),
                         f.MakeTx("b", {f.peer1.get()}, {"k2"})}));
   ASSERT_NE(f.committer->MspCache(), nullptr);
@@ -310,14 +326,11 @@ TEST(CommitterOptimizations, ShortcircuitStopsAtPolicySatisfaction) {
   // This is the knob's one deliberate divergence from Fabric's VSCC —
   // EXPERIMENTS.md documents it — pinned here so it cannot drift silently.
   for (const bool shortcircuit : {false, true}) {
-    Fixture f;
+    fabric::OptimizationOptions opt;
+    opt.policy_shortcircuit = shortcircuit;
+    Fixture f(opt);
     f.committer->SetPolicy(
         "cc", policy::MustParsePolicy("AND('Org1MSP.peer','Org2MSP.peer')"));
-    if (shortcircuit) {
-      fabric::OptimizationOptions opt;
-      opt.policy_shortcircuit = true;
-      f.committer->SetOptimizations(opt);
-    }
     auto tx = f.MakeTx("t1", {f.peer1.get(), f.peer2.get(), f.peer1.get()});
     // Tamper the surplus endorsement, then re-sign as the client: the
     // submitted envelope legitimately carries a junk third endorsement
@@ -341,8 +354,7 @@ TEST(CommitterOptimizations, ShortcircuitStillRejectsWhatMatters) {
   fabric::OptimizationOptions opt;
   opt.policy_shortcircuit = true;
 
-  Fixture f;
-  f.committer->SetOptimizations(opt);
+  Fixture f(opt);
   auto bad_client = f.MakeTx("t1", {f.peer1.get()}, {"k1"});
   bad_client.client_signature.bytes[0] ^= 1;
   bad_client.InvalidateCaches();

@@ -135,6 +135,45 @@ TEST(MultiChannel, ClientsAreBoundRoundRobin) {
                    .has_value());
 }
 
+TEST(MultiChannel, LaterChannelCommittersCarryTheBuildOptions) {
+  // Committer settings are fixed when a peer is built and reach the
+  // committer of every channel it joins, not only the first one's.
+  NetworkOptions opts = TwoChannels(OrderingType::kSolo);
+  opts.optimizations.msp_cache = true;
+  opts.optimizations.vscc_workers = 3;
+  opts.optimizations.bulk_commit = true;
+  opts.optimizations.policy_shortcircuit = true;
+  opts.overload.enabled = true;
+  opts.overload.committer_max_blocks = 5;
+  opts.retention.ledger_blocks = 2;
+  FabricNetwork net(opts);
+  for (std::size_t p = 0; p < net.PeerCount(); ++p) {
+    const peer::Committer& c = net.Peer(p).GetCommitter("mychannel1");
+    EXPECT_NE(c.MspCache(), nullptr) << p;
+    ASSERT_NE(c.VsccWorkerCpu(), nullptr) << p;
+    EXPECT_EQ(c.VsccWorkerCpu()->Cores(), 3) << p;
+    EXPECT_EQ(c.Options().max_pipeline_blocks, 5u) << p;
+    EXPECT_TRUE(c.Options().optimizations.bulk_commit) << p;
+    EXPECT_TRUE(c.Options().optimizations.policy_shortcircuit) << p;
+  }
+
+  // Retention is in force on channel 1: after four blocks of traffic the
+  // ledger keeps only the newest two. Odd clients are bound to channel 1.
+  net.Start();
+  auto clients = net.Clients();
+  for (int round = 0; round < 4; ++round) {
+    net.Env().Sched().RunUntil(sim::FromSeconds(1 + 3 * round));
+    SubmitKv(clients[1], "r" + std::to_string(round));
+  }
+  net.Env().Sched().RunUntil(sim::FromSeconds(16));
+  const auto& store =
+      net.ValidatorPeer().GetCommitter("mychannel1").Chain().Store();
+  EXPECT_GE(store.Height(), 5u);
+  EXPECT_EQ(store.ResidentBlocks(), 2u);
+  EXPECT_EQ(store.FirstBlockNumber(), store.Height() - 2);
+  EXPECT_EQ(clients[1]->CommittedValid(), 4u);
+}
+
 class MultiChannelEndToEnd : public ::testing::TestWithParam<OrderingType> {};
 
 TEST_P(MultiChannelEndToEnd, BothChannelsCommitIndependently) {

@@ -262,7 +262,8 @@ TEST(OsnOverload, BackfillIsWindowedByDeliverAcks) {
 // ------------------------------------------------- committer pipeline bound
 
 struct DeferralFixture {
-  DeferralFixture() : env(3), cal(fabric::DefaultCalibration()) {
+  explicit DeferralFixture(const peer::CommitterOptions& options = {})
+      : env(3), cal(fabric::DefaultCalibration()) {
     msps.AddOrganization("Org1MSP");
     msps.AddOrganization("ClientOrgMSP");
     msps.AddOrganization("OrdererMSP");
@@ -275,7 +276,7 @@ struct DeferralFixture {
     machine = &env.AddMachine("peer", sim::I7_2600());
     disk = std::make_unique<sim::Cpu>(env.Sched(), 1);
     committer = std::make_unique<peer::Committer>(env, *machine, *disk, msps,
-                                                  cal, nullptr);
+                                                  cal, nullptr, options);
     committer->SetPolicy("cc", policy::MustParsePolicy("OR('Org1MSP.peer')"));
   }
 
@@ -321,8 +322,7 @@ struct DeferralFixture {
 };
 
 TEST(CommitterOverload, BoundedPipelineDefersThenCommitsEverything) {
-  DeferralFixture f;
-  f.committer->SetMaxPipelineBlocks(1);
+  DeferralFixture f({.max_pipeline_blocks = 1});
 
   int committed_blocks = 0;
   std::vector<std::uint64_t> order;

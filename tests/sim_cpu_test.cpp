@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <tuple>
 #include <vector>
 
 namespace fabricsim::sim {
@@ -110,19 +109,31 @@ TEST(Cpu, UtilizationReflectsLoad) {
   EXPECT_NEAR(cpu.Utilization(), 0.25, 0.01);
 }
 
+/// Runs `s` to each of `instants` in turn and returns `cpu.BusyTime()` read
+/// there: a window's busy time is the difference of two such reads, which
+/// is how attribution measures utilization over the measurement window.
+std::vector<SimDuration> BusyTimesAt(Scheduler& s, const Cpu& cpu,
+                                     const std::vector<SimTime>& instants) {
+  std::vector<SimDuration> out;
+  for (const SimTime t : instants) {
+    s.RunUntil(t);
+    out.push_back(cpu.BusyTime());
+  }
+  return out;
+}
+
 TEST(Cpu, WindowedUtilizationIsolatesBusyInterval) {
   Scheduler s;
   Cpu cpu(s, 1);
   // Busy exactly over [100, 300): idle before and after.
   s.ScheduleAt(100, [&] { cpu.Submit(200, [] {}); });
-  s.RunUntil(500);
-  EXPECT_NEAR(cpu.Utilization(0, 100), 0.0, 1e-9);
-  EXPECT_NEAR(cpu.Utilization(100, 300), 1.0, 1e-9);
-  EXPECT_NEAR(cpu.Utilization(300, 500), 0.0, 1e-9);
-  EXPECT_NEAR(cpu.Utilization(0, 500), 0.4, 1e-9);    // 200 of 500
-  EXPECT_NEAR(cpu.Utilization(200, 400), 0.5, 1e-9);  // half the window busy
-  // Whole-run utilization agrees with the windowed form over [0, now].
-  EXPECT_NEAR(cpu.Utilization(), cpu.Utilization(0, s.Now()), 1e-9);
+  const auto busy = BusyTimesAt(s, cpu, {100, 200, 300, 400, 500});
+  EXPECT_EQ(busy[0], 0);             // [0, 100) idle
+  EXPECT_EQ(busy[2] - busy[0], 200); // [100, 300) fully busy
+  EXPECT_EQ(busy[4] - busy[2], 0);   // [300, 500) idle
+  EXPECT_EQ(busy[3] - busy[1], 100); // half of [200, 400) busy
+  // Whole-run utilization agrees: 200 of 500.
+  EXPECT_NEAR(cpu.Utilization(), 0.4, 1e-9);
 }
 
 TEST(Cpu, WindowedUtilizationCountsAllCores) {
@@ -130,30 +141,33 @@ TEST(Cpu, WindowedUtilizationCountsAllCores) {
   Cpu cpu(s, 2);
   cpu.Submit(100, [] {});  // core 0: [0, 100)
   cpu.Submit(300, [] {});  // core 1: [0, 300)
-  s.RunUntil(400);
-  EXPECT_NEAR(cpu.Utilization(0, 100), 1.0, 1e-9);    // both busy
-  EXPECT_NEAR(cpu.Utilization(100, 300), 0.5, 1e-9);  // one of two
-  EXPECT_NEAR(cpu.Utilization(0, 400), 0.5, 1e-9);    // 400 of 800 core-ns
+  const auto busy = BusyTimesAt(s, cpu, {100, 300, 400});
+  EXPECT_EQ(busy[0], 200);            // both busy over [0, 100)
+  EXPECT_EQ(busy[1] - busy[0], 200);  // one of two over [100, 300)
+  EXPECT_EQ(busy[2], 400);            // 400 of 800 core-ns
+  EXPECT_NEAR(cpu.Utilization(), 0.5, 1e-9);
 }
 
 TEST(Cpu, WindowedUtilizationHandlesDegenerateWindows) {
   Scheduler s;
   Cpu cpu(s, 1);
   cpu.Submit(100, [] {});
-  s.RunUntil(200);
-  EXPECT_EQ(cpu.Utilization(50, 50), 0.0);   // empty window
-  EXPECT_EQ(cpu.Utilization(300, 100), 0.0); // inverted window
-  // A window extending past `now` only accrues busy time up to `now`.
-  EXPECT_NEAR(cpu.Utilization(0, 1000), 0.1, 1e-9);
+  const auto busy = BusyTimesAt(s, cpu, {50, 50, 200, 1000});
+  EXPECT_EQ(busy[1] - busy[0], 0);  // empty window
+  // Idle time after the last job accrues nothing.
+  EXPECT_EQ(busy[2], 100);
+  EXPECT_EQ(busy[3], 100);
+  EXPECT_NEAR(cpu.Utilization(), 0.1, 1e-9);
 }
 
 TEST(Cpu, WindowedUtilizationSeesInProgressJob) {
   Scheduler s;
   Cpu cpu(s, 1);
   cpu.Submit(1000, [] {});
-  s.RunUntil(400);  // job still running
-  EXPECT_NEAR(cpu.Utilization(0, 400), 1.0, 1e-9);
-  EXPECT_NEAR(cpu.Utilization(100, 300), 1.0, 1e-9);
+  const auto busy = BusyTimesAt(s, cpu, {100, 300, 400});  // job running
+  EXPECT_EQ(busy[2], 400);
+  EXPECT_EQ(busy[1] - busy[0], 200);
+  EXPECT_EQ(cpu.CompletedJobs(), 0u);
 }
 
 TEST(Cpu, CompletionSubmittingWorkQueuesBehindWaiters) {
@@ -178,41 +192,6 @@ TEST(Cpu, ManyJobsAggregateTime) {
   EXPECT_EQ(done, 100);
   // 100 jobs x 10ns over 4 cores = 250ns makespan.
   EXPECT_EQ(s.Now(), 250);
-}
-
-TEST(Cpu, BoundedMarksKeepRunningTotalsExact) {
-  // Streaming runs drop the per-job busy-mark history; everything read at
-  // the current time — BusyTime(), full-window Utilization(), BusyCores() —
-  // must still match a CPU that kept the marks.
-  const auto drive = [](bool bounded) {
-    Scheduler s;
-    Cpu cpu(s, 2);
-    cpu.SetBoundedMarks(bounded);
-    for (int i = 0; i < 10; ++i) {
-      s.ScheduleAt(i * 30, [&cpu] { cpu.Submit(100, [] {}); });
-    }
-    s.Run();
-    return std::tuple{cpu.BusyTime(), cpu.Utilization(), cpu.CompletedJobs(),
-                      s.Now()};
-  };
-  EXPECT_EQ(drive(false), drive(true));
-}
-
-TEST(Cpu, BoundedMarksPreservePastQueriesUpToTheSwitch) {
-  // Marks recorded before SetBoundedMarks(true) stay; past-time queries up
-  // to the switch point remain exact, and later windows use the running
-  // totals from the switch's last_change onward.
-  Scheduler s;
-  Cpu cpu(s, 1);
-  cpu.Submit(100, [] {});
-  s.Run();
-  EXPECT_EQ(cpu.BusyTimeAt(50), 50);
-  cpu.SetBoundedMarks(true);
-  s.ScheduleAt(200, [&cpu] { cpu.Submit(100, [] {}); });
-  s.Run();
-  EXPECT_EQ(cpu.BusyTimeAt(50), 50);  // pre-switch history intact
-  EXPECT_EQ(cpu.BusyTime(), 200);     // both jobs accounted
-  EXPECT_EQ(s.Now(), 300);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include <string>
 #include <system_error>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "bench/json.h"
@@ -76,7 +77,7 @@ struct CliOptions {
   std::string profile_trace;   // Chrome trace of sampled handler spans
   std::uint64_t retain_blocks = 0;   // ledger/OSN blocks kept (0 = all)
   std::vector<double> sweep;  // arrival rates; non-empty = sweep mode
-  int jobs = 1;               // host threads for --sweep (0 = hw concurrency)
+  std::optional<int> jobs;    // host threads for --sweep (0 = hw concurrency)
   fabric::OptimizationOptions optimizations;  // Thakkar-style validate fixes
 };
 
@@ -157,8 +158,9 @@ void PrintHelp() {
       "  --streaming-stats            bounded-memory tracker accounting:\n"
       "                               per-tx records retire on terminal\n"
       "                               state; identical metrics, flat RSS\n"
-      "                               (ignored when faults/trace/invariants\n"
-      "                               need post-hoc records)\n"
+      "                               (not combinable with --trace-out,\n"
+      "                               --faults or --check-invariants, which\n"
+      "                               need every per-tx record)\n"
       "  --retain-blocks=<n>          blocks kept per peer ledger and OSN\n"
       "                               backfill history (0 = all); bounds\n"
       "                               memory for long runs, shrinks the\n"
@@ -181,11 +183,17 @@ void PrintHelp() {
       "  --sweep=<r1,r2,...>          run the base configuration once per\n"
       "                               arrival rate and print one summary row\n"
       "                               per rate; non-zero exit if any run's\n"
-      "                               chain audit fails (not combinable with\n"
-      "                               --trace-out/--telemetry-csv/--faults)\n"
-      "  --jobs=<n>                   host worker threads for --sweep\n"
-      "                               (default 1; 0 = hardware concurrency);\n"
-      "                               results are identical at any setting\n"
+      "                               chain audit fails or, with\n"
+      "                               --check-invariants (shown as a column),\n"
+      "                               any run violates an invariant (not\n"
+      "                               combinable with --trace-out,\n"
+      "                               --telemetry-csv, --faults,\n"
+      "                               --metrics-out, --profile,\n"
+      "                               --profile-trace or --invariants-out)\n"
+      "  --jobs=<n>                   host worker threads for --sweep, and\n"
+      "                               only with it (default 1; 0 = hardware\n"
+      "                               concurrency); results are identical at\n"
+      "                               any setting\n"
       "  --opt-msp-cache              MSP identity-verification cache on the\n"
       "                               committers: repeat cert chains skip the\n"
       "                               full validation cost (Thakkar et al.,\n"
@@ -352,6 +360,15 @@ bool Parse(int argc, char** argv, CliOptions& out, std::string& error) {
       out.metrics_format = *v;
       continue;
     }
+    if (auto v = ArgValue(arg, "--jobs")) {
+      int jobs = 0;
+      if (!ParseNumber(*v, jobs)) {
+        error = "bad value for --jobs: " + *v;
+        return false;
+      }
+      out.jobs = jobs;
+      continue;
+    }
     if (auto v = ArgValue(arg, "--sweep")) {
       std::stringstream ss(*v);
       std::string item;
@@ -394,7 +411,7 @@ bool Parse(int argc, char** argv, CliOptions& out, std::string& error) {
         number("--committer-blocks", out.committer_blocks) ||
         number("--retry-after-ms", out.retry_after_ms) ||
         number("--flow-window", out.flow_window) ||
-        number("--pace-tps", out.pace_tps) || number("--jobs", out.jobs) ||
+        number("--pace-tps", out.pace_tps) ||
         number("--metrics-period-ms", out.metrics_period_ms) ||
         number("--retain-blocks", out.retain_blocks) ||
         number("--opt-vscc-workers", out.optimizations.vscc_workers)) {
@@ -407,6 +424,42 @@ bool Parse(int argc, char** argv, CliOptions& out, std::string& error) {
   // A period under one simulated nanosecond would sample every nanosecond.
   if (sim::FromMillis(out.metrics_period_ms) <= 0) {
     error = "--metrics-period-ms must be positive";
+    return false;
+  }
+  // Combinations the run would otherwise ignore without a word.
+  using Conflicts = std::vector<std::pair<bool, const char*>>;
+  const auto reject = [&error](const char* mode, const Conflicts& conflicts) {
+    for (const auto& [set, flag] : conflicts) {
+      if (set) {
+        error = std::string(mode) + " cannot be combined with " + flag;
+        return true;
+      }
+    }
+    return false;
+  };
+  if (!out.sweep.empty()) {
+    // Per-run outputs and the fault schedule belong to a single run.
+    if (reject("--sweep",
+               Conflicts{{!out.trace_out.empty(), "--trace-out"},
+                         {!out.telemetry_csv.empty(), "--telemetry-csv"},
+                         {!out.faults.empty(), "--faults"},
+                         {!out.metrics_out.empty(), "--metrics-out"},
+                         {!out.profile_trace.empty(), "--profile-trace"},
+                         {out.profile, "--profile"},
+                         {!out.invariants_out.empty(), "--invariants-out"}})) {
+      return false;
+    }
+  } else if (out.jobs) {
+    error = "--jobs applies only to --sweep";
+    return false;
+  }
+  // Streaming retires per-tx records that these need after the run.
+  if (out.streaming_stats &&
+      reject("--streaming-stats",
+             Conflicts{{!out.trace_out.empty(), "--trace-out"},
+                       {!out.faults.empty(), "--faults"},
+                       {!out.invariants_out.empty(), "--invariants-out"},
+                       {out.check_invariants, "--check-invariants"}})) {
     return false;
   }
   return true;
@@ -489,14 +542,6 @@ int main(int argc, char** argv) {
   // Sweep mode: the base configuration once per arrival rate, fanned out
   // over --jobs host threads, one summary row per rate.
   if (!cli.sweep.empty()) {
-    if (!cli.trace_out.empty() || !cli.telemetry_csv.empty() ||
-        !cli.faults.empty() || !cli.metrics_out.empty() ||
-        !cli.profile_trace.empty()) {
-      std::cerr << "error: --sweep cannot be combined with --trace-out, "
-                   "--telemetry-csv, --faults, --metrics-out, or "
-                   "--profile-trace\n";
-      return 2;
-    }
     std::vector<runner::SweepPoint> points;
     for (double rate : cli.sweep) {
       fabric::ExperimentConfig point = config;
@@ -504,24 +549,33 @@ int main(int argc, char** argv) {
       points.push_back({std::move(point), metrics::Fmt(rate, 1) + " tps"});
     }
     runner::SweepOptions options;
-    options.jobs = cli.jobs;
+    options.jobs = cli.jobs.value_or(1);
     const auto outcomes = runner::RunSweep(std::move(points), options);
 
-    metrics::Table table({"rate_tps", "committed_tps", "goodput_tps",
-                          "e2e_latency_s", "e2e_p95_s", "block_time_s",
-                          "chain_audit"});
+    std::vector<std::string> header = {"rate_tps",     "committed_tps",
+                                       "goodput_tps",  "e2e_latency_s",
+                                       "e2e_p95_s",    "block_time_s",
+                                       "chain_audit"};
+    if (cli.check_invariants) header.emplace_back("invariants");
+    metrics::Table table(std::move(header));
     bool all_ok = true;
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
       const auto& res = outcomes[i].result;
       const auto& rep = res.report;
-      all_ok = all_ok && res.chain_audit_ok;
-      table.AddRow({metrics::Fmt(cli.sweep[i], 1),
-                    metrics::Fmt(rep.end_to_end.throughput_tps, 1),
-                    metrics::Fmt(rep.goodput_tps, 1),
-                    metrics::Fmt(rep.end_to_end.mean_latency_s, 3),
-                    metrics::Fmt(rep.end_to_end.p95_latency_s, 3),
-                    metrics::Fmt(rep.mean_block_time_s, 2),
-                    res.chain_audit_ok ? "OK" : "FAILED"});
+      const bool invariants_ok = !res.invariants || res.invariants->Ok();
+      all_ok = all_ok && res.chain_audit_ok && invariants_ok;
+      std::vector<std::string> row = {
+          metrics::Fmt(cli.sweep[i], 1),
+          metrics::Fmt(rep.end_to_end.throughput_tps, 1),
+          metrics::Fmt(rep.goodput_tps, 1),
+          metrics::Fmt(rep.end_to_end.mean_latency_s, 3),
+          metrics::Fmt(rep.end_to_end.p95_latency_s, 3),
+          metrics::Fmt(rep.mean_block_time_s, 2),
+          res.chain_audit_ok ? "OK" : "FAILED"};
+      if (cli.check_invariants) {
+        row.emplace_back(invariants_ok ? "OK" : "FAILED");
+      }
+      table.AddRow(std::move(row));
     }
     if (cli.csv) {
       table.PrintCsv(std::cout);
